@@ -173,18 +173,15 @@ def measure_query(rounds: int) -> Dict[str, float]:
 
 
 def measure_ensemble(rounds: int) -> Dict[str, float]:
-    """Sharded ensemble serving scaling (named ``_qps`` on purpose: thread
-    scaling is hardware-dependent, so these stay out of the >2x CI gate)."""
+    """Ensemble serving throughput, eight streams served one after another
+    (named ``_qps`` on purpose: it stays out of the >2x CI gate)."""
     rng = np.random.default_rng(13)
     streams = [f"s{i}" for i in range(8)]
+    ens = StreamEnsemble(WINDOW, k=2)
+    for name in streams:
+        ens.add_stream(name)
+        ens.tree(name).extend(rng.normal(size=2 * WINDOW))
     queries = {}
-    ensembles = {}
-    for shards in (1, 4):
-        ens = StreamEnsemble(WINDOW, k=2, serve_shards=shards)
-        for name in streams:
-            ens.add_stream(name)
-            ens.tree(name).extend(rng.normal(size=2 * WINDOW))
-        ensembles[shards] = ens
     for name in streams:
         qs = []
         for _ in range(32):
@@ -197,16 +194,11 @@ def measure_ensemble(rounds: int) -> Dict[str, float]:
             )
         queries[name] = qs
     total = rounds * sum(len(v) for v in queries.values())
-    out: Dict[str, float] = {}
-    for shards, label in ((1, "ensemble_serial_qps"), (4, "ensemble_sharded_qps")):
-        ens = ensembles[shards]
-        ens.answer_batch(queries)  # warm plans + pool
-        t0 = time.perf_counter()
-        for _ in range(rounds):
-            ens.answer_batch(queries)
-        out[label] = total / (time.perf_counter() - t0)
-        ens.close()
-    return out
+    ens.answer_batch(queries)  # warm plans
+    t0 = time.perf_counter()
+    for _ in range(rounds):
+        ens.answer_batch(queries)
+    return {"ensemble_serial_qps": total / (time.perf_counter() - t0)}
 
 
 def run_all(quick: bool) -> Tuple[Dict[str, float], Dict[str, float]]:
@@ -274,8 +266,7 @@ def _format(ingest: Dict[str, float], query: Dict[str, float]) -> str:
         f"  answer_batch       {query['answer_batch_queries_per_s']:>12,.1f} queries/s"
         f"  (scalar {query['scalar_answer_queries_per_s']:,.1f})\n"
         f"  plan-cache hits    {query['plan_cache_hit_rate']:>12.3f}\n"
-        f"  ensemble serving   {query['ensemble_sharded_qps']:>12,.1f} q/s sharded"
-        f"  ({query['ensemble_serial_qps']:,.1f} serial)"
+        f"  ensemble serving   {query['ensemble_serial_qps']:>12,.1f} q/s"
     )
 
 

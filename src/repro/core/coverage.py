@@ -75,21 +75,27 @@ def build_cover(
     CoverageError
         If some index is uncovered and extrapolation is disabled.
     """
-    wanted = np.unique(np.fromiter((int(i) for i in indices), dtype=np.int64))
+    wanted = np.unique(
+        np.asarray(
+            indices if isinstance(indices, np.ndarray) else list(indices),
+            dtype=np.int64,
+        ).reshape(-1)
+    )
     cover = Cover()
-    # A node's segment is a contiguous index range, so against the sorted
-    # index array each scan step is two binary searches plus a mask slice
-    # instead of a per-index Python set walk.
+    filled = [n for n in nodes if n.coeffs is not None]
+    # A node's segment is a contiguous index range [lo, lo + length), so
+    # against the sorted index array each node's share is one slice: a
+    # single vectorized binary search over every segment end, then a mask
+    # slice per scan step instead of a per-index Python set walk.
+    ends = np.array(
+        [(now - n.end_time, n.segment_length) for n in filled], dtype=np.int64
+    ).reshape(-1, 2)
+    ends[:, 1] += ends[:, 0]
     open_mask = np.ones(wanted.size, dtype=bool)
     n_open = int(wanted.size)
-    for node in nodes:
+    for node, (a, b) in zip(filled, wanted.searchsorted(ends).tolist()):
         if not n_open:
             break
-        if not node.is_filled:
-            continue
-        lo, hi = node.relative_segment(now)
-        a = int(np.searchsorted(wanted, lo, side="left"))
-        b = int(np.searchsorted(wanted, hi, side="right"))
         if a >= b:
             continue
         hit_mask = open_mask[a:b]
@@ -105,7 +111,6 @@ def build_cover(
             raise CoverageError(
                 f"window indices {uncovered} not covered by any filled node"
             )
-        filled = [n for n in nodes if n.is_filled]
         if not filled:
             raise CoverageError("tree holds no approximations yet")
         for i in uncovered:

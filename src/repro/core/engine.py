@@ -1,31 +1,22 @@
-"""Query engine: plan-cached, batch-vectorized serving over one SWAT.
+"""Query engine: a plan cache in front of one SWAT.
 
-The write side of the reproduction ingests ~13M arrivals/s through the
-batched cascade, but the scalar read path re-ran the greedy cover search,
-per-node index arithmetic, and a ``unique``/``searchsorted`` scatter on
-*every* query.  :class:`QueryEngine` amortizes all of that across queries:
+Every :class:`~repro.core.swat.Swat` query is answered by compiling a
+:class:`~repro.core.plan.QueryPlan` and evaluating it.  :class:`QueryEngine`
+only adds a cache: for a warm tree the cover structure of a fixed index set
+repeats every ``2^{L-1}`` arrivals, so plans are kept in an LRU keyed by
+``(index set, phase)`` and revalidated with a handful of integer
+comparisons.  A cache hit turns a query into pure NumPy gathers from
+per-node reconstructions memoized by ``SwatNode.version``.
 
-* **Compiled plans** (:mod:`repro.core.plan`): the cover structure for a
-  fixed index set repeats every ``2^{L-1}`` arrivals, so plans are compiled
-  once per ``(indices, phase)`` and revalidated with a handful of integer
-  comparisons.  A cache hit turns a query into pure NumPy gathers.
-* **Shared reconstructions**: gathers read ``SwatNode.reconstruct()``, whose
-  memo is keyed by the node's ``version`` counter — each touched node is
-  inverse-transformed at most once per refresh no matter how many queries
-  (or engines) touch it between ticks.
-* **Batched evaluation**: :meth:`answer_batch` groups queries by index set,
-  materializes each group's estimate vector once, and reduces every query's
-  inner product against that shared vector.  Reductions run in the exact
-  order of the scalar path (one ``np.dot(weights, est)`` per query over the
-  full vector), so batch answers are **bit-identical** to sequential
-  :meth:`Swat.answer` — enforced by ``tests/test_query_engine.py``.
+:meth:`QueryEngine.answer_batch` groups queries by index set, evaluates each
+group's plan once, and reduces every query's inner product against that
+shared vector with the same ``np.dot(weights, est)`` as :meth:`Swat.answer`,
+so batch answers are **bit-identical** to sequential scalar answers —
+enforced by ``tests/test_query_engine.py`` and against an independent
+Figure 3(b) oracle in ``tests/test_query_oracle.py``.
 
-The fast path engages for Haar trees with dense first-``k`` selection and no
-deviation tracking; generic wavelets, largest-``k`` trees, deviation-tracked
-trees, and cold (not yet warm) trees fall back to the scalar path with
-identical results.  Engines are cheap (a dict of plans) — make one per
-serving thread or stream; :class:`~repro.core.multi.StreamEnsemble` shards
-them across a thread pool.
+A cold or settling tree has no stable phase structure: the engine then
+compiles and evaluates without storing the plan.
 """
 
 from __future__ import annotations
@@ -60,54 +51,38 @@ class QueryEngine:
         The summary to serve from.  The engine holds a reference, not a
         copy: interleaving ``tree.extend`` with engine queries is the
         intended usage, and plan/reconstruction invalidation keeps answers
-        bit-identical to the scalar path throughout.
+        bit-identical to :meth:`Swat.answer` throughout.
     max_plans:
         Plan-cache capacity; least-recently-used plans are evicted beyond
         it.
-    instrument:
-        When False the engine never touches the global metrics registry or
-        causal tracer.  Required when the engine is driven from a worker
-        thread (registry/tracer mutation is not thread-safe); the sharded
-        :class:`~repro.core.multi.StreamEnsemble` serving path creates its
-        engines this way and records per-shard metrics from the main thread
-        instead.  Local counters (``hits``/``misses``/``fallbacks``) still
-        update.
 
     Attributes
     ----------
     hits / misses:
         Plan-cache counters (mirrored into ``query.plan_cache.{hit,miss}``
-        when :mod:`repro.obs` is enabled).
-    fallbacks:
-        Queries answered by the scalar path (generic wavelets, cold trees).
+        when :mod:`repro.obs` is enabled).  Every compiled plan is a miss,
+        including the uncached ones of a cold tree.
     """
 
-    def __init__(
-        self,
-        tree: Swat,
-        max_plans: int = DEFAULT_MAX_PLANS,
-        *,
-        instrument: bool = True,
-    ) -> None:
+    def __init__(self, tree: Swat, max_plans: int = DEFAULT_MAX_PLANS) -> None:
         if max_plans < 1:
             raise ValueError("max_plans must be >= 1")
         self.tree = tree
         self.max_plans = int(max_plans)
-        self.instrument = bool(instrument)
         self._plans: "OrderedDict[Tuple[Hashable, int], QueryPlan]" = OrderedDict()
-        self._fast_ok = self._fast_path_ok(tree)
-        # Warmth is monotonic (nodes never unfill), so one successful check
-        # amortizes to an attribute read.
+        # Warmth is monotonic (nodes never unfill and settling never restarts
+        # without a reconfigure, which bumps the epoch), so one successful
+        # check amortizes to an attribute read.
         self._warm = False
         # Identity + epoch of the tree the caches were built against; a
-        # restore (epoch bump) or a tree swap restarts node version counters,
-        # so every plan and the warmth gate must be dropped (see _sync_tree).
+        # restore or reconfigure (epoch bump) or a tree swap restarts node
+        # version counters, so every plan and the warmth gate must be
+        # dropped (see _sync_tree).
         self._seen_tree: Swat = tree
         self._seen_epoch: int = tree.epoch
         self.hits = 0
         self.misses = 0
-        self.fallbacks = 0
-        self.causal = causal_mod.current_causal() if self.instrument else None
+        self.causal = causal_mod.current_causal()
 
     # ------------------------------------------------------------- plan cache
 
@@ -125,24 +100,14 @@ class QueryEngine:
         """Drop every compiled plan (they recompile on demand)."""
         self._plans.clear()
 
-    @staticmethod
-    def _fast_path_ok(tree: Swat) -> bool:
-        # Haar + dense first-k is the compiled kernel; deviation tracking
-        # needs the scalar path's certified-bound cover walk.
-        return (
-            tree.wavelet in ("haar", "db1")
-            and tree.selection == "first"
-            and not tree.track_deviation
-        )
-
     def _sync_tree(self) -> None:
         """Invalidate everything if the tree was restored or swapped.
 
-        ``Swat.restore_state`` bumps :attr:`Swat.epoch` in place; assigning a
-        new tree to :attr:`tree` changes identity.  Either way the new nodes
-        restart their version counters, so plans compiled pre-restore (and
-        the monotonic warmth gate — the restored tree may be cold) would
-        serve stale data if kept.
+        ``Swat.restore_state`` and ``Swat.reconfigure`` bump
+        :attr:`Swat.epoch` in place; assigning a new tree to :attr:`tree`
+        changes identity.  Either way plans compiled before (and the
+        monotonic warmth gate — the new tree may be cold or settling) would
+        serve stale structure if kept.
         """
         tree = self.tree
         if tree is not self._seen_tree or tree.epoch != self._seen_epoch:
@@ -150,47 +115,41 @@ class QueryEngine:
             self._seen_epoch = tree.epoch
             self._plans.clear()
             self._warm = False
-            self._fast_ok = self._fast_path_ok(tree)
 
     def _plan_for(
         self,
         shape_key: Hashable,
         indices: Sequence[int],
         parent: Optional[TraceContext] = None,
-    ) -> Optional[QueryPlan]:
-        """Cached-or-compiled plan for ``indices``; None while the tree is
-        cold (the scalar path handles partially filled trees).
+    ) -> QueryPlan:
+        """Cached-or-compiled plan for ``indices``.
 
         ``shape_key`` is any hashable that uniquely identifies the index
         sequence — the tuple itself for queries, ``(dtype, bytes)`` for
-        integer ndarrays (tupling 512 numpy ints per call would dominate a
-        cache hit).
+        arrays.
         """
+        self._sync_tree()
         tree = self.tree
-        if not self._warm:
-            if not tree.is_warm:
-                return None
+        if not self._warm and not tree.settling and tree.is_warm:
             self._warm = True
         key = (shape_key, tree.phase)
-        plan = self._plans.get(key)
-        if plan is not None and plan.matches(tree):
-            self._plans.move_to_end(key)
-            self.hits += 1
-            if self.instrument and obs.ENABLED:
-                obs.counter("query.plan_cache.hit").inc()
-            return plan
-        _t0 = (
-            time.perf_counter()
-            if (self.instrument and obs.ENABLED) or self.causal is not None
-            else None
-        )
+        if self._warm:
+            plan = self._plans.get(key)
+            if plan is not None and plan.matches(tree):
+                self._plans.move_to_end(key)
+                self.hits += 1
+                if obs.ENABLED:
+                    obs.counter("query.plan_cache.hit").inc()
+                return plan
+        _t0 = time.perf_counter() if obs.ENABLED or self.causal is not None else None
         plan = compile_plan(tree, indices)
-        self._plans[key] = plan
-        self._plans.move_to_end(key)
-        while len(self._plans) > self.max_plans:
-            self._plans.popitem(last=False)
+        if self._warm:
+            self._plans[key] = plan
+            self._plans.move_to_end(key)
+            while len(self._plans) > self.max_plans:
+                self._plans.popitem(last=False)
         self.misses += 1
-        if self.instrument and obs.ENABLED and _t0 is not None:
+        if obs.ENABLED and _t0 is not None:
             obs.counter("query.plan_cache.miss").inc()
             obs.histogram("query.plan_compile.latency").observe(
                 time.perf_counter() - _t0
@@ -198,60 +157,26 @@ class QueryEngine:
         if self.causal is not None and _t0 is not None:
             self.causal.start_span(
                 "engine.plan_compile", at=_t0, site="engine", parent=parent
-            ).finish(time.perf_counter(), indices=len(indices), phase=plan.phase)
+            ).finish(time.perf_counter(), indices=len(plan.indices), phase=plan.phase)
         return plan
 
     # -------------------------------------------------------------- evaluation
 
-    def _evaluate(self, plan: QueryPlan) -> np.ndarray:
-        """Estimates for the plan's indices — pure gathers, no cover work."""
-        tree = self.tree
-        out = np.empty(len(plan.indices), dtype=np.float64)
-        if plan.raw_out.size:
-            d0 = tree.raw_leaf(0)
-            d1 = tree.raw_leaf(1) if tree.raw_leaf_count() > 1 else 0.0
-            out[plan.raw_out] = np.where(plan.raw_which == 0, d0, d1)
-        wavelet = tree.wavelet
-        for step in plan.steps:
-            signal = tree.node(step.level, step.role).reconstruct(wavelet)
-            out[step.out] = signal[step.positions]
-        return out
-
     def estimates(self, indices: Sequence[int]) -> np.ndarray:
         """Approximate values for window indices (plan-cached twin of
-        :meth:`Swat.estimates`; duplicates fan out like the scalar path)."""
-        self._sync_tree()
-        if not self._fast_ok:
-            self.fallbacks += 1
-            return self.tree.estimates(indices)
-        key: Hashable
-        if isinstance(indices, np.ndarray) and indices.dtype.kind in "iu":
-            key = (indices.dtype.str, indices.tobytes())
-        else:
-            key = tuple(int(i) for i in indices)
-        plan = self._plan_for(key, indices)
-        if plan is None:
-            self.fallbacks += 1
-            return self.tree.estimates(indices)
-        return self._evaluate(plan)
+        :meth:`Swat.estimates`; duplicates fan out the same way)."""
+        # Key on (dtype, bytes): tupling 512 numpy ints per call would
+        # dominate a cache hit, and a float or bool array never aliases an
+        # integer one, so compile_plan still rejects it.
+        idx = indices if isinstance(indices, np.ndarray) else np.asarray(list(indices))
+        return self._plan_for((idx.dtype.str, idx.tobytes()), idx).evaluate(self.tree)
 
     def answer(self, query: InnerProductQuery) -> QueryAnswer:
         """Plan-cached twin of :meth:`Swat.answer` — bit-identical answers."""
-        self._sync_tree()
-        if not self._fast_ok:
-            self.fallbacks += 1
-            return self.tree.answer(query)
-        plan = self._plan_for(query.indices, query.indices)
-        if plan is None:
-            self.fallbacks += 1
-            return self.tree.answer(query)
-        est = self._evaluate(plan)
-        value = float(np.dot(np.asarray(query.weights, dtype=np.float64), est))
-        if self.instrument and obs.ENABLED:
+        answer = self.tree.answer_plan(self._plan_for(query.indices, query.indices), query)
+        if obs.ENABLED:
             obs.counter("swat.queries").inc()
-        return QueryAnswer(
-            value, est, plan.nodes_used(self.tree), plan.n_extrapolated, None
-        )
+        return answer
 
     def answer_batch(
         self, queries: Iterable[InnerProductQuery]
@@ -260,18 +185,13 @@ class QueryEngine:
 
         Queries are grouped by index set; each group's estimate vector is
         materialized once and every member reduces its inner product against
-        it with the scalar path's own ``np.dot`` — answers are bit-identical
-        to calling :meth:`answer` (and :meth:`Swat.answer`) sequentially.
-        ``QueryAnswer.estimates`` arrays are shared within a group; copy
-        before mutating.
+        it with :meth:`Swat.answer`'s own ``np.dot`` — answers are
+        bit-identical to calling :meth:`answer` (and :meth:`Swat.answer`)
+        sequentially.  ``QueryAnswer.estimates`` arrays are shared within a
+        group; copy before mutating.
         """
-        self._sync_tree()
         batch = list(queries)
-        _t0 = (
-            time.perf_counter()
-            if (self.instrument and obs.ENABLED) or self.causal is not None
-            else None
-        )
+        _t0 = time.perf_counter() if obs.ENABLED or self.causal is not None else None
         root = (
             self.causal.start_span(
                 "engine.answer_batch", at=_t0, site="engine", queries=len(batch)
@@ -280,58 +200,28 @@ class QueryEngine:
             else None
         )
         ctx = root.context if root is not None else None
-        if not self._fast_ok:
-            self.fallbacks += len(batch)
-            # Sanctioned scalar fallback: generic wavelets / largest-k /
-            # deviation tracking have no compiled kernel (REP011's exemption).
-            answers = [self.tree.answer(q) for q in batch]  # repro: ignore[REP011]
-            self._finish_batch(root, _t0, len(batch))
-            return answers
         # Group by index set, preserving first-seen order; one plan + one
         # estimate vector per group no matter how many weightings ride on it.
         groups: "OrderedDict[Tuple[int, ...], List[int]]" = OrderedDict()
         for qi, query in enumerate(batch):
             groups.setdefault(query.indices, []).append(qi)
-        answers_out: List[Optional[QueryAnswer]] = [None] * len(batch)
-        _te = time.perf_counter() if self.causal is not None and _t0 is not None else None
+        answers: List[Optional[QueryAnswer]] = [None] * len(batch)
+        tree = self.tree
         for indices, members in groups.items():
             plan = self._plan_for(indices, indices, parent=ctx)
-            if plan is None:
-                self.fallbacks += len(members)
-                for qi in members:
-                    answers_out[qi] = self.tree.answer(batch[qi])  # repro: ignore[REP011]
-                continue
-            est = self._evaluate(plan)
-            nodes = plan.nodes_used(self.tree)
+            est = plan.evaluate(tree)
             for qi in members:
-                query = batch[qi]
-                value = float(
-                    np.dot(np.asarray(query.weights, dtype=np.float64), est)
-                )
-                answers_out[qi] = QueryAnswer(
-                    value, est, nodes, plan.n_extrapolated, None
-                )
-        if self.causal is not None and _te is not None:
-            self.causal.start_span(
-                "engine.evaluate", at=_te, site="engine", parent=ctx
-            ).finish(time.perf_counter(), groups=len(groups))
-        if self.instrument and obs.ENABLED:
+                answers[qi] = tree.answer_plan(plan, batch[qi], est)
+        if obs.ENABLED and _t0 is not None:
             obs.counter("swat.queries").inc(len(batch))
-        self._finish_batch(root, _t0, len(batch))
-        # Every slot is filled: each query index lands in exactly one group.
-        return [a for a in answers_out if a is not None]
-
-    def _finish_batch(
-        self,
-        root: Optional[causal_mod.Span],
-        t0: Optional[float],
-        size: int,
-    ) -> None:
-        if self.instrument and obs.ENABLED and t0 is not None:
-            obs.histogram("query.batch_size", buckets=obs.BATCH_BUCKETS).observe(size)
-            obs.histogram("query.batch.latency").observe(time.perf_counter() - t0)
+            obs.histogram("query.batch_size", buckets=obs.BATCH_BUCKETS).observe(
+                len(batch)
+            )
+            obs.histogram("query.batch.latency").observe(time.perf_counter() - _t0)
         if root is not None:
-            root.finish(time.perf_counter())
+            root.finish(time.perf_counter(), groups=len(groups))
+        # Every slot is filled: each query index lands in exactly one group.
+        return [a for a in answers if a is not None]
 
     def __repr__(self) -> str:
         return (

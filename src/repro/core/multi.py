@@ -9,21 +9,15 @@ Pearson correlation **from the summaries alone** (reconstructed windows), so
 correlation monitoring costs ``O(k log N)`` memory per stream instead of
 ``O(N)``.
 
-Serving is **sharded**: each stream gets a lazily created
-:class:`~repro.core.engine.QueryEngine` (plan-cached reads), and
+Serving goes through one lazily created
+:class:`~repro.core.engine.QueryEngine` per stream (plan-cached reads);
 :meth:`StreamEnsemble.answer_all` / :meth:`StreamEnsemble.answer_batch`
-fan the per-stream work out over a thread pool.  The heavy per-shard work
-is NumPy gathers and dots, which release the GIL.  Worker threads never
-touch the global metrics registry or causal tracer (neither is
-thread-safe); shard engines are created with ``instrument=False`` and the
-main thread records per-shard counters, latency histograms, and trace
-spans from timing pairs the workers return.
+serve the streams one after another.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,22 +46,13 @@ class StreamEnsemble:
     k:
         Coefficients per node for each summary (more coefficients give
         sharper correlation estimates).
-    serve_shards:
-        Thread-pool width for :meth:`answer_all`/:meth:`answer_batch`.
-        ``0`` (the default) picks ``min(4, len(streams))`` at serve time;
-        ``1`` serves inline with no pool.  Use :meth:`close` (or the
-        context manager) to release the pool.
     """
 
-    def __init__(self, window_size: int, k: int = 4, *, serve_shards: int = 0) -> None:
-        if serve_shards < 0:
-            raise ValueError("serve_shards must be >= 0")
+    def __init__(self, window_size: int, k: int = 4) -> None:
         self.window_size = window_size
         self.k = k
-        self.serve_shards = int(serve_shards)
         self._trees: Dict[str, Swat] = {}
         self._engines: Dict[str, QueryEngine] = {}
-        self._pool: Optional[ThreadPoolExecutor] = None
         self.causal = causal_mod.current_causal()
         # Resource-control plumbing (repro.control): the ledger tracks
         # per-stream summary bytes (refreshed on block ingest and at phase
@@ -306,45 +291,19 @@ class StreamEnsemble:
     # --------------------------------------------------------------- serving
 
     def engine(self, name: str) -> QueryEngine:
-        """The stream's plan-cached query engine (created lazily).
-
-        Shard engines are uninstrumented — they may be driven from worker
-        threads, so the ensemble records serving metrics itself (from the
-        main thread) rather than letting engines touch the global registry.
-        """
+        """The stream's plan-cached query engine (created lazily)."""
         eng = self._engines.get(name)
         if eng is None:
-            eng = QueryEngine(self._trees[name], instrument=False)
+            eng = QueryEngine(self._trees[name])
             self._engines[name] = eng
         return eng
 
-    def _shards(self, names: Sequence[str]) -> List[List[str]]:
-        width = self.serve_shards or min(4, len(names)) or 1
-        width = min(width, len(names)) or 1
-        return [list(names[i::width]) for i in range(width) if names[i::width]]
-
-    def _ensure_pool(self, width: int) -> ThreadPoolExecutor:
-        if self._pool is not None and self._pool._max_workers < width:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=width, thread_name_prefix="ensemble-shard"
-            )
-        return self._pool
-
-    def _serve_sharded(
+    def _serve(
         self,
         span_name: str,
         queries_by_stream: Mapping[str, Sequence[InnerProductQuery]],
     ) -> Dict[str, List[QueryAnswer]]:
-        """Fan per-stream batches out over shard threads; collect in order.
-
-        Workers run only uninstrumented engine calls and return
-        ``perf_counter`` (start, end) pairs; all registry/tracer mutation
-        happens here in the calling thread, so the global metrics registry
-        and causal tracer are never touched concurrently.
-        """
+        """Serve per-stream batches through each stream's engine, in name order."""
         names = sorted(queries_by_stream)
         unknown = set(names) - set(self._trees)
         if unknown:
@@ -362,67 +321,41 @@ class StreamEnsemble:
                 n: [degraded_answer(self._trees[n], q) for q in queries_by_stream[n]]
                 for n in names
             }
-        t0 = time.perf_counter()
         root = (
             self.causal.start_span(
-                span_name, at=t0, site="ensemble", streams=len(names), queries=total
+                span_name,
+                at=time.perf_counter(),
+                site="ensemble",
+                streams=len(names),
+                queries=total,
             )
             if self.causal is not None
             else None
         )
-        shards = self._shards(names)
-        # Engines are created here, before dispatch, so worker threads never
-        # mutate the shared engine dict.
-        for name in names:
-            self.engine(name)
-
-        def serve(shard: List[str]) -> Tuple[Dict[str, List[QueryAnswer]], float, float]:
-            start = time.perf_counter()
-            out = {
-                n: self._engines[n].answer_batch(queries_by_stream[n]) for n in shard
-            }
-            return out, start, time.perf_counter()
-
-        results: Dict[str, List[QueryAnswer]] = {}
-        if len(shards) <= 1:
-            collected = [serve(shard) for shard in shards]
-        else:
-            pool = self._ensure_pool(len(shards))
-            collected = [f.result() for f in [pool.submit(serve, s) for s in shards]]
-        for i, (shard, (out, start, end)) in enumerate(zip(shards, collected)):
-            results.update(out)
-            n_queries = sum(len(queries_by_stream[n]) for n in shard)
-            if obs.ENABLED:
-                obs.counter("ensemble.shard.queries", shard=i).inc(n_queries)
-                obs.histogram("ensemble.shard.latency", shard=i).observe(end - start)
-            if root is not None and self.causal is not None:
-                self.causal.start_span(
-                    "ensemble.shard", at=start, site="ensemble", parent=root.context
-                ).finish(end, shard=i, streams=len(shard), queries=n_queries)
+        results = {n: self.engine(n).answer_batch(queries_by_stream[n]) for n in names}
         if obs.ENABLED:
             obs.histogram(
                 "ensemble.batch_size", buckets=obs.BATCH_BUCKETS
             ).observe(total)
         if root is not None:
-            root.finish(time.perf_counter(), shards=len(shards))
+            root.finish(time.perf_counter())
         return results
 
     def answer_all(self, query: InnerProductQuery) -> Dict[str, QueryAnswer]:
-        """Answer one query against every stream, sharded across threads.
+        """Answer one query against every stream.
 
-        Answers are bit-identical to ``tree(name).answer(query)`` — sharding
-        changes scheduling, never values.
+        Answers are bit-identical to ``tree(name).answer(query)``.
         """
         if not self._trees:
             return {}
         batches = {name: [query] for name in self._trees}
-        grouped = self._serve_sharded("ensemble.answer_all", batches)
+        grouped = self._serve("ensemble.answer_all", batches)
         return {name: answers[0] for name, answers in grouped.items()}
 
     def answer_batch(
         self, queries_by_stream: Mapping[str, Sequence[InnerProductQuery]]
     ) -> Dict[str, List[QueryAnswer]]:
-        """Answer per-stream query batches, sharded across threads.
+        """Answer per-stream query batches.
 
         ``queries_by_stream`` maps stream names to their query lists; streams
         not mentioned are not served.  Within each stream the answers come
@@ -431,19 +364,7 @@ class StreamEnsemble:
         """
         if not queries_by_stream:
             return {}
-        return self._serve_sharded("ensemble.answer_batch", queries_by_stream)
-
-    def close(self) -> None:
-        """Shut down the serving pool (idempotent; engines stay usable)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "StreamEnsemble":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
+        return self._serve("ensemble.answer_batch", queries_by_stream)
 
     # ----------------------------------------------------------- correlation
 

@@ -1,51 +1,45 @@
-"""Compiled query plans: reusable cover sets keyed by the tree's phase.
+"""Compiled query plans: the one query path of a :class:`~repro.core.swat.Swat`.
 
-For a *warm* :class:`~repro.core.swat.Swat` the cover set chosen by
-:func:`~repro.core.coverage.build_cover` is a pure function of the tree's
+Every query — :meth:`Swat.estimates`, :meth:`Swat.answer`, range queries,
+whole-window reconstruction, and the cached serving of
+:class:`~repro.core.engine.QueryEngine` — is answered by compiling a
+:class:`QueryPlan` for its index set and evaluating it.  Compiling is the
+query handler of Figure 3(b): indices 0 and 1 come from the raw leaves
+``d_0``/``d_1``; the rest go through one greedy cover scan
+(:meth:`Swat.cover`), and each index is read from the first node that
+covers it (reduced or settling trees clamp uncovered indices to the nearest
+segment end).  Evaluating is pure gathers from per-node reconstructions,
+each memoized by :attr:`~repro.core.node.SwatNode.version`.
+
+For a *warm* tree the plan's structure is a pure function of the tree's
 **phase** — the arrival clock modulo ``2^{L-1}`` (the refresh period of the
 coarsest maintained level).  Level ``l``'s ``R`` node always ends at the most
-recent multiple of ``2^l``, so every node's window-relative segment, and
-therefore the ``(level, role)`` pairs the greedy scan picks for a fixed index
-set, repeats exactly every ``2^{L-1}`` arrivals.
-
-A :class:`QueryPlan` freezes that structure once: which output slots are
-served by the raw leaves ``d_0``/``d_1``, and for every cover node the
-positions to gather from its reconstructed segment plus the output slots they
-land in.  Evaluating a plan (see :class:`~repro.core.engine.QueryEngine`)
-skips the cover search, the per-node index arithmetic, and the
-``unique``/``searchsorted`` scatter of the scalar path — it is pure gathers
-from per-node reconstructions that are themselves memoized by
-:attr:`~repro.core.node.SwatNode.version`.
-
-Two layers of invalidation keep plans sound:
+recent multiple of ``2^l``, so the ``(level, role)`` pairs the greedy scan
+picks for a fixed index set repeat exactly every ``2^{L-1}`` arrivals.  That
+is what lets :class:`~repro.core.engine.QueryEngine` cache plans.  Two
+layers of invalidation keep cached plans sound:
 
 * **structure** — :meth:`QueryPlan.matches` re-checks, per referenced node,
   that the node is filled and sits at the window offset recorded at compile
-  time.  At a recurring phase of a warm tree this always holds; a reduced
-  tree mid-refresh or a restored checkpoint that disagrees recompiles.
+  time.
 * **contents** — the plan never caches values.  Reconstructions come from
   ``SwatNode.reconstruct()``, whose memo is keyed by the node's ``version``
-  counter (bumped on every ``set_contents``/``copy_from``), so a refresh
-  between two evaluations of the same plan is picked up automatically.
-
-Plans are compiled by replaying the scalar query path (:meth:`Swat.cover` +
-the ``_extract`` position arithmetic) — evaluation is bit-identical to
-:meth:`Swat.answer` by construction, which the Hypothesis suite in
-``tests/test_query_engine.py`` enforces.
+  counter, so a refresh between two evaluations of the same plan is picked
+  up automatically.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from .node import SwatNode
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (Swat imports queries)
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (Swat imports plan)
     from .swat import Swat
 
-__all__ = ["PlanStep", "QueryPlan", "compile_plan", "phase_of"]
+__all__ = ["PlanStep", "QueryPlan", "compile_plan", "phase_of", "window_indices"]
 
 
 def phase_of(tree: "Swat") -> int:
@@ -56,6 +50,27 @@ def phase_of(tree: "Swat") -> int:
     ``now mod 2^{L-1}`` for all maintained levels ``l <= L-1``.
     """
     return tree.time & ((tree.window_size >> 1) - 1)
+
+
+def window_indices(tree: "Swat", indices: Iterable[int]) -> np.ndarray:
+    """Validate window indices into a flat ``int64`` array.
+
+    Raises :exc:`TypeError` for a non-integer dtype (floats and bools would
+    otherwise truncate to some other index) and :exc:`IndexError` for
+    indices outside ``[0, tree.size)``.  Empty input, Python ints and NumPy
+    integers pass.
+    """
+    idx = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices))
+    if idx.dtype.kind not in "iu" and idx.size:
+        raise TypeError(f"window indices must be integers, got dtype {idx.dtype}")
+    idx = idx.astype(np.int64, copy=False).reshape(-1)
+    bad_mask = (idx < 0) | (idx >= tree.size)
+    if bool(bad_mask.any()):
+        raise IndexError(
+            f"window indices {idx[bad_mask].tolist()} out of range "
+            f"[0, {tree.size - 1}] (stream has seen {tree.time} values)"
+        )
+    return idx
 
 
 class PlanStep:
@@ -97,8 +112,8 @@ class QueryPlan:
     Attributes
     ----------
     indices:
-        The window indices the plan answers, in query order (duplicates
-        allowed — each occurrence has its own output slot).
+        The window indices the plan answers (``int64`` array), in query
+        order (duplicates allowed — each occurrence has its own output slot).
     phase:
         The tree phase (``time mod 2^{L-1}``) the structure was compiled at.
     steps:
@@ -107,15 +122,15 @@ class QueryPlan:
         Output slots served exactly from the raw leaves, and which leaf
         (0 = ``d_0`` = newest, 1 = ``d_1``) serves each.
     n_extrapolated:
-        How many indices a reduced-level tree answers by clamping (mirrors
-        :attr:`~repro.core.coverage.Cover.extrapolated`).
+        How many distinct indices a reduced-level tree answers by clamping
+        (mirrors :attr:`~repro.core.coverage.Cover.extrapolated`).
     """
 
     __slots__ = ("indices", "phase", "steps", "raw_out", "raw_which", "n_extrapolated")
 
     def __init__(
         self,
-        indices: Tuple[int, ...],
+        indices: np.ndarray,
         phase: int,
         steps: Tuple[PlanStep, ...],
         raw_out: np.ndarray,
@@ -144,6 +159,39 @@ class QueryPlan:
         """The live cover nodes, in scan order (for ``QueryAnswer`` diagnostics)."""
         return [tree.node(step.level, step.role) for step in self.steps]
 
+    def evaluate(self, tree: "Swat") -> np.ndarray:
+        """Estimates for the plan's indices — pure gathers, no cover work."""
+        out = np.empty(len(self.indices), dtype=np.float64)
+        if self.raw_out.size:
+            d0 = tree.raw_leaf(0)
+            d1 = tree.raw_leaf(1) if tree.raw_leaf_count() > 1 else 0.0
+            out[self.raw_out] = np.where(self.raw_which == 0, d0, d1)
+        wavelet = tree.wavelet
+        for step in self.steps:
+            signal = tree.node(step.level, step.role).reconstruct(wavelet)
+            out[step.out] = signal[step.positions]
+        return out
+
+    def certified_bound(self, tree: "Swat", weights: Sequence[float]) -> float:
+        """Certified bound on ``|true - sum(w * estimates)|``.
+
+        Each cover node's ``deviation`` bounds every per-index error it
+        serves, so the bound is ``sum_steps deviation * sum |w[step.out]|``
+        (raw-leaf slots are exact).  Absolute weights keep mixed-sign
+        queries from cancelling.  Infinite when any index was extrapolated
+        or a cover node carries no deviation.
+        """
+        if self.n_extrapolated:
+            return float("inf")
+        abs_w = np.abs(np.asarray(weights, dtype=np.float64))
+        bound = 0.0
+        for step in self.steps:
+            deviation = tree.node(step.level, step.role).deviation
+            if deviation is None:
+                return float("inf")
+            bound += deviation * float(abs_w[step.out].sum())
+        return bound
+
     def __repr__(self) -> str:
         return (
             f"QueryPlan(n_indices={len(self.indices)}, phase={self.phase}, "
@@ -151,73 +199,59 @@ class QueryPlan:
         )
 
 
-def compile_plan(tree: "Swat", indices: Sequence[int]) -> QueryPlan:
-    """Compile the cover for ``indices`` against the tree's current phase.
+def compile_plan(tree: "Swat", indices: Iterable[int]) -> QueryPlan:
+    """Compile the query handler of Figure 3(b) for ``indices`` at the tree's
+    current structure, in one vectorized pass.
 
-    Replays the scalar query decomposition exactly — raw-leaf short-circuit,
-    greedy cover, per-node position arithmetic, extrapolation clamping — so
-    evaluating the result gathers the very same floats ``Swat._estimate``
-    would produce.
+    The cover runs once over the distinct non-raw indices; each distinct
+    index gets its (step, position), and every occurrence in the query —
+    duplicates included — fans out from there with one stable argsort.
     """
-    idx = np.asarray(list(indices), dtype=np.int64).reshape(-1)
-    bad_mask = (idx < 0) | (idx >= tree.size)
-    if bool(bad_mask.any()):
-        bad = [int(i) for i in idx[bad_mask]]
-        raise IndexError(
-            f"window indices {bad} out of range [0, {tree.size - 1}] "
-            f"(stream has seen {tree.time} values)"
-        )
+    idx = window_indices(tree, indices)
     now = tree.time
-    slots = np.arange(idx.size, dtype=np.int64)
-    n_raw = tree.raw_leaf_count()
-    raw_mask = idx < n_raw
-    raw_out = slots[raw_mask]
-    raw_which = idx[raw_mask]
+    raw_mask = idx < tree.raw_leaf_count()
+    raw_out = np.flatnonzero(raw_mask)
+    rest = np.flatnonzero(~raw_mask)
     steps: List[PlanStep] = []
     n_extrapolated = 0
-    rest_mask = ~raw_mask
-    if bool(rest_mask.any()):
-        remaining = idx[rest_mask]
-        remaining_slots = slots[rest_mask]
-        cover = tree.cover([int(i) for i in remaining])
-        extrapolated = (
-            np.asarray(cover.extrapolated, dtype=np.int64)
-            if cover.extrapolated
-            else None
-        )
-        # Window index -> output slots; duplicates fan out to every slot.
-        for node, assigned in cover.assignments.items():
-            a_idx = np.asarray(assigned, dtype=np.int64)
-            lo, _hi = node.relative_segment(now)
-            pos = node.segment_length - 1 - (a_idx - lo)
-            if extrapolated is not None:
-                ex = np.isin(a_idx, extrapolated)
-                pos = np.where(
-                    ex, np.where(a_idx < lo, node.segment_length - 1, 0), pos
-                )
-            # The cover assigned *unique* indices; expand to every occurrence
-            # in the query's index list so evaluation is one gather+scatter.
-            occ_pos: List[int] = []
-            occ_out: List[int] = []
-            for j, i in enumerate(a_idx):
-                hits = remaining_slots[remaining == i]
-                occ_out.extend(int(s) for s in hits)
-                occ_pos.extend([int(pos[j])] * hits.size)
+    if rest.size:
+        uniq, inv = np.unique(idx[rest], return_inverse=True)
+        cover = tree.cover(uniq)
+        step_of = np.empty(uniq.size, dtype=np.int64)
+        pos_of = np.empty(uniq.size, dtype=np.int64)
+        nodes = cover.nodes
+        for s, node in enumerate(nodes):
+            assigned = np.asarray(cover.assignments[node], dtype=np.int64)
+            loc = np.searchsorted(uniq, assigned)
+            length = node.segment_length
+            # Oldest-first segment: window index i sits at length-1-(i-lo);
+            # extrapolated indices clamp to the nearest segment end.
+            pos = length - 1 - (assigned - (now - node.end_time))
+            step_of[loc] = s
+            pos_of[loc] = np.minimum(np.maximum(pos, 0), length - 1)
+        occ_step = step_of[inv]
+        order = np.argsort(occ_step, kind="stable")
+        bounds = np.cumsum(np.bincount(occ_step, minlength=len(nodes)))
+        occ_pos = pos_of[inv][order]
+        occ_out = rest[order]
+        start = 0
+        for node, end in zip(nodes, bounds.tolist()):
             steps.append(
                 PlanStep(
                     node.level,
                     node.role,
                     now - node.end_time,
-                    np.asarray(occ_pos, dtype=np.int64),
-                    np.asarray(occ_out, dtype=np.int64),
+                    occ_pos[start:end],
+                    occ_out[start:end],
                 )
             )
+            start = end
         n_extrapolated = len(cover.extrapolated)
     return QueryPlan(
-        tuple(int(i) for i in idx),
+        idx,
         phase_of(tree),
         tuple(steps),
         raw_out,
-        raw_which,
+        idx[raw_mask],
         n_extrapolated,
     )

@@ -21,6 +21,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from .errors import require_finite
+
 __all__ = [
     "InnerProductQuery",
     "point_query",
@@ -63,6 +65,7 @@ class InnerProductQuery:
             raise ValueError("window indices are non-negative")
         if self.precision < 0:
             raise ValueError("precision must be non-negative")
+        require_finite(np.asarray(self.weights, dtype=np.float64), "query weights")
 
     @property
     def length(self) -> int:

@@ -119,7 +119,7 @@ class TestMemoryLedger:
 
 
 def _governed_ensemble(budget, window=64, k=8, n_streams=3, **kwargs):
-    ens = StreamEnsemble(window, k=k, serve_shards=1)
+    ens = StreamEnsemble(window, k=k)
     for i in range(n_streams):
         ens.add_stream(f"S{i}")
     gov = ResourceGovernor(budget, k_range=(1, k), **kwargs)
@@ -157,7 +157,7 @@ class TestResourceGovernor:
     def test_roomy_budget_upgrades_back_to_ceiling(self):
         window, k = 64, 8
         full = 2 * config_nbytes(window, k, 0)
-        ens = StreamEnsemble(window, k=1, serve_shards=1)
+        ens = StreamEnsemble(window, k=1)
         ens.add_stream("S0")
         ens.add_stream("S1")
         gov = ResourceGovernor(full * 2, k_range=(1, k), cooldown_phases=0)
@@ -167,7 +167,7 @@ class TestResourceGovernor:
         assert all(ens.tree(n).k == k for n in ens.streams)
 
     def test_monitor_only_never_reconfigures(self):
-        ens = StreamEnsemble(32, k=4, serve_shards=1)
+        ens = StreamEnsemble(32, k=4)
         ens.add_stream("S0")
         gov = ResourceGovernor(None)  # no budget: observe only
         ens.attach_governor(gov)
@@ -177,7 +177,7 @@ class TestResourceGovernor:
         assert ens.tree("S0").k == 4
 
     def test_error_target_gates_upgrades(self, obs_registry):
-        ens = StreamEnsemble(32, k=1, serve_shards=1)
+        ens = StreamEnsemble(32, k=1)
         ens.add_stream("S0")
         gov = ResourceGovernor(
             10 * config_nbytes(32, 8, 0),
@@ -206,8 +206,8 @@ class TestResourceGovernor:
     @settings(max_examples=25)
     def test_disabled_governor_is_bit_identical(self, window, k, seed, n_blocks):
         data = random_walk_stream(n_blocks * window, seed=seed)
-        plain = StreamEnsemble(window, k=k, serve_shards=1)
-        governed = StreamEnsemble(window, k=k, serve_shards=1)
+        plain = StreamEnsemble(window, k=k)
+        governed = StreamEnsemble(window, k=k)
         for ens in (plain, governed):
             ens.add_stream("S0")
             ens.add_stream("S1")
@@ -251,7 +251,7 @@ class TestArrivalQueue:
             q.offer({"a": [1.0, 2.0], "b": [1.0]})
 
     def test_ensemble_offer_ingest_roundtrip(self):
-        ens = StreamEnsemble(16, k=2, serve_shards=1)
+        ens = StreamEnsemble(16, k=2)
         ens.add_stream("a")
         ens.add_stream("b")
         ens.attach_shedding(queue_capacity_ticks=24)
@@ -262,7 +262,7 @@ class TestArrivalQueue:
         assert ens.arrival_queue.ticks_dropped == 8
 
     def test_offer_requires_queue(self):
-        ens = StreamEnsemble(16, k=2, serve_shards=1)
+        ens = StreamEnsemble(16, k=2)
         ens.add_stream("a")
         with pytest.raises(RuntimeError):
             ens.offer_columns({"a": [1.0]})
@@ -279,7 +279,7 @@ class TestQueryAdmission:
         assert adm.queries_shed == 1
 
     def test_ensemble_degrades_over_budget_batches(self):
-        ens = StreamEnsemble(16, k=2, serve_shards=1)
+        ens = StreamEnsemble(16, k=2)
         ens.add_stream("a")
         ens.attach_shedding(admission=QueryAdmission(1, degrade=True))
         ens.extend_columns({"a": random_walk_stream(32, seed=9)})
@@ -292,7 +292,7 @@ class TestQueryAdmission:
         assert degraded.n_extrapolated == 1
 
     def test_ensemble_raises_without_degradation(self):
-        ens = StreamEnsemble(16, k=2, serve_shards=1)
+        ens = StreamEnsemble(16, k=2)
         ens.add_stream("a")
         ens.attach_shedding(admission=QueryAdmission(1, degrade=False))
         ens.extend_columns({"a": random_walk_stream(32, seed=10)})
@@ -402,7 +402,7 @@ class TestGovernorPersistence:
         path = str(tmp_path / "governor.ckpt")
         save_governor(path, gov)
 
-        fresh = StreamEnsemble(window, k=k, serve_shards=1)
+        fresh = StreamEnsemble(window, k=k)
         for name in ens.streams:
             fresh.add_stream(name)
         fresh.attach_governor(load_governor(path))
