@@ -23,8 +23,11 @@ naming the offending level or site.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import TYPE_CHECKING, Optional
+
+import numpy as np
 
 if TYPE_CHECKING:  # avoid runtime circular imports; checkers take the objects
     from .core.swat import Swat
@@ -78,7 +81,9 @@ def check_swat(tree: "Swat") -> None:
 
     * level ``l < n-1`` holds exactly the roles {R, S, L} and the top level
       exactly {R} (the ``3 log N - 2`` layout);
-    * every filled node stores at most ``k`` coefficients;
+    * every filled node stores at most ``k`` coefficients, all finite, and
+      a finite tracked deviation (finite inputs can still overflow the Haar
+      butterfly; a non-finite node would serve ``nan`` estimates silently);
     * refresh cadence: with ``t`` arrivals seen and ``p = 2^l``, a filled
       ``R_l`` ends at the latest refresh tick ``t - (t mod p)``, ``S_l`` one
       period earlier, and ``L_l`` two periods earlier.
@@ -115,6 +120,11 @@ def check_swat(tree: "Swat") -> None:
                 raise InvariantViolation(
                     f"level {level} node {role}: {coeffs.size} coefficients "
                     f"exceeds k={tree.k}"
+                )
+            if not (np.isfinite(coeffs).all() and math.isfinite(node.deviation or 0.0)):
+                raise InvariantViolation(
+                    f"level {level} node {role}: non-finite state (coefficients="
+                    f"{coeffs.tolist()}, deviation={node.deviation})"
                 )
             if settling:
                 continue  # cadence legitimately disturbed mid-reconfigure

@@ -21,7 +21,6 @@ compiles and evaluates without storing the plan.
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
 
@@ -141,7 +140,7 @@ class QueryEngine:
                 if obs.ENABLED:
                     obs.counter("query.plan_cache.hit").inc()
                 return plan
-        _t0 = time.perf_counter() if obs.ENABLED or self.causal is not None else None
+        _t0 = causal_mod.block_start(self.causal)
         plan = compile_plan(tree, indices)
         if self._warm:
             self._plans[key] = plan
@@ -149,15 +148,13 @@ class QueryEngine:
             while len(self._plans) > self.max_plans:
                 self._plans.popitem(last=False)
         self.misses += 1
-        if obs.ENABLED and _t0 is not None:
-            obs.counter("query.plan_cache.miss").inc()
-            obs.histogram("query.plan_compile.latency").observe(
-                time.perf_counter() - _t0
+        if _t0 is not None:
+            if obs.ENABLED:
+                obs.counter("query.plan_cache.miss").inc()
+            causal_mod.block_finish(
+                _t0, "query.plan_compile.latency", self.causal, "engine.plan_compile",
+                site="engine", parent=parent, indices=len(plan.indices), phase=plan.phase,
             )
-        if self.causal is not None and _t0 is not None:
-            self.causal.start_span(
-                "engine.plan_compile", at=_t0, site="engine", parent=parent
-            ).finish(time.perf_counter(), indices=len(plan.indices), phase=plan.phase)
         return plan
 
     # -------------------------------------------------------------- evaluation
@@ -191,15 +188,10 @@ class QueryEngine:
         group; copy before mutating.
         """
         batch = list(queries)
-        _t0 = time.perf_counter() if obs.ENABLED or self.causal is not None else None
-        root = (
-            self.causal.start_span(
-                "engine.answer_batch", at=_t0, site="engine", queries=len(batch)
-            )
-            if self.causal is not None and _t0 is not None
-            else None
+        _t0 = causal_mod.block_start(self.causal)
+        root, ctx = causal_mod.open_span(
+            self.causal, "engine.answer_batch", at=_t0, site="engine", queries=len(batch)
         )
-        ctx = root.context if root is not None else None
         # Group by index set, preserving first-seen order; one plan + one
         # estimate vector per group no matter how many weightings ride on it.
         groups: "OrderedDict[Tuple[int, ...], List[int]]" = OrderedDict()
@@ -212,14 +204,15 @@ class QueryEngine:
             est = plan.evaluate(tree)
             for qi in members:
                 answers[qi] = tree.answer_plan(plan, batch[qi], est)
-        if obs.ENABLED and _t0 is not None:
-            obs.counter("swat.queries").inc(len(batch))
-            obs.histogram("query.batch_size", buckets=obs.BATCH_BUCKETS).observe(
-                len(batch)
+        if _t0 is not None:
+            if obs.ENABLED:
+                obs.counter("swat.queries").inc(len(batch))
+                obs.histogram("query.batch_size", buckets=obs.BATCH_BUCKETS).observe(
+                    len(batch)
+                )
+            causal_mod.block_finish(
+                _t0, "query.batch.latency", self.causal, root, groups=len(groups)
             )
-            obs.histogram("query.batch.latency").observe(time.perf_counter() - _t0)
-        if root is not None:
-            root.finish(time.perf_counter(), groups=len(groups))
         # Every slot is filled: each query index lands in exactly one group.
         return [a for a in answers if a is not None]
 

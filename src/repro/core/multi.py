@@ -17,7 +17,6 @@ serve the streams one after another.
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -321,24 +320,17 @@ class StreamEnsemble:
                 n: [degraded_answer(self._trees[n], q) for q in queries_by_stream[n]]
                 for n in names
             }
-        root = (
-            self.causal.start_span(
-                span_name,
-                at=time.perf_counter(),
-                site="ensemble",
-                streams=len(names),
-                queries=total,
-            )
-            if self.causal is not None
-            else None
+        _t0 = causal_mod.block_start(self.causal)
+        root, _ = causal_mod.open_span(
+            self.causal, span_name, at=_t0, site="ensemble", streams=len(names), queries=total
         )
         results = {n: self.engine(n).answer_batch(queries_by_stream[n]) for n in names}
-        if obs.ENABLED:
-            obs.histogram(
-                "ensemble.batch_size", buckets=obs.BATCH_BUCKETS
-            ).observe(total)
-        if root is not None:
-            root.finish(time.perf_counter())
+        if _t0 is not None:
+            if obs.ENABLED:
+                obs.histogram(
+                    "ensemble.batch_size", buckets=obs.BATCH_BUCKETS
+                ).observe(total)
+            causal_mod.block_finish(_t0, None, self.causal, root)
         return results
 
     def answer_all(self, query: InnerProductQuery) -> Dict[str, QueryAnswer]:

@@ -25,7 +25,6 @@ Usage::
 from __future__ import annotations
 
 import math
-import time
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -315,13 +314,9 @@ class Swat:
 
     def update(self, value: float) -> None:
         """Ingest one stream value (the Update_Tree procedure of Figure 3(a))."""
-        # Instrumentation (repro.obs) is guarded so a metrics-off process
-        # pays only the module-attribute checks on this hot path.
-        _t0 = (
-            time.perf_counter()
-            if obs.ENABLED or self.causal is not None
-            else None
-        )
+        # One seam for metrics and causal spans: unwatched, this hot path
+        # pays one check here and one at the end.
+        _t0 = causal_mod.block_start(self.causal)
         value = float(value)
         require_finite(value)
         self._time += 1
@@ -341,17 +336,15 @@ class Swat:
             self._settling = False
         if self._check_invariants:
             contracts.check_swat(self)
-        if obs.ENABLED and _t0 is not None:
-            obs.counter("swat.arrivals").inc()
+        if _t0 is not None:
             shifted = max_level + 1 - self.min_level
-            if shifted > 0:
-                obs.counter("swat.levels_shifted").inc(shifted)
-            obs.histogram("swat.maintenance.latency").observe(time.perf_counter() - _t0)
-        if self.causal is not None and _t0 is not None:
-            # In-process spans run on the perf_counter clock (never mixed
-            # with virtual-time spans inside one trace).
-            self.causal.start_span("swat.update", at=_t0, site="swat").finish(
-                time.perf_counter(), levels=max_level + 1 - self.min_level
+            if obs.ENABLED:
+                obs.counter("swat.arrivals").inc()
+                if shifted > 0:
+                    obs.counter("swat.levels_shifted").inc(shifted)
+            causal_mod.block_finish(
+                _t0, "swat.maintenance.latency", self.causal, "swat.update",
+                site="swat", levels=shifted,
             )
 
     def extend(self, values: Iterable[float]) -> None:
@@ -395,11 +388,7 @@ class Swat:
         b = int(block.size)
         if b == 0:
             return
-        _t0 = (
-            time.perf_counter()
-            if obs.ENABLED or self.causal is not None
-            else None
-        )
+        _t0 = causal_mod.block_start(self.causal)
         require_finite(block)
         t0 = self._time
         tend = t0 + b
@@ -509,18 +498,18 @@ class Swat:
             _set_from_batch(lv[Role.RIGHT], rows, devs, count - 1, first, lstep)
         if self._check_invariants:
             contracts.check_swat(self)
-        if obs.ENABLED and _t0 is not None:
-            obs.counter("swat.arrivals").inc(b)
-            shifted = 0
-            for level in range(m, self.n_levels):
-                shifted += (tend >> level) - (t0 >> level)
-            if shifted:
-                obs.counter("swat.levels_shifted").inc(shifted)
-            obs.counter("swat.batches").inc()
-            obs.histogram("swat.batch.latency").observe(time.perf_counter() - _t0)
-        if self.causal is not None and _t0 is not None:
-            self.causal.start_span("swat.extend", at=_t0, site="swat").finish(
-                time.perf_counter(), values=b
+        if _t0 is not None:
+            if obs.ENABLED:
+                obs.counter("swat.arrivals").inc(b)
+                shifted = 0
+                for level in range(m, self.n_levels):
+                    shifted += (tend >> level) - (t0 >> level)
+                if shifted:
+                    obs.counter("swat.levels_shifted").inc(shifted)
+                obs.counter("swat.batches").inc()
+            causal_mod.block_finish(
+                _t0, "swat.batch.latency", self.causal, "swat.extend",
+                site="swat", values=b,
             )
 
     def _carry_node(self, level: int, end_time: int) -> SwatNode:
@@ -761,23 +750,19 @@ class Swat:
         ``error_bound``; :meth:`can_answer` compares it to the query's
         precision requirement.
         """
-        _t0 = (
-            time.perf_counter()
-            if obs.ENABLED or self.causal is not None
-            else None
-        )
+        _t0 = causal_mod.block_start(self.causal)
         ans = self.answer_plan(compile_plan(self, query.indices), query)
-        if obs.ENABLED and _t0 is not None:
-            obs.counter("swat.queries").inc()
-            obs.histogram("swat.query.cover_size", buckets=obs.COUNT_BUCKETS).observe(
-                len(ans.nodes_used)
-            )
-            if ans.n_extrapolated:
-                obs.counter("swat.extrapolations").inc(ans.n_extrapolated)
-            obs.histogram("swat.query.latency").observe(time.perf_counter() - _t0)
-        if self.causal is not None and _t0 is not None:
-            self.causal.start_span("swat.answer", at=_t0, site="swat").finish(
-                time.perf_counter(), cover=len(ans.nodes_used)
+        if _t0 is not None:
+            if obs.ENABLED:
+                obs.counter("swat.queries").inc()
+                obs.histogram("swat.query.cover_size", buckets=obs.COUNT_BUCKETS).observe(
+                    len(ans.nodes_used)
+                )
+                if ans.n_extrapolated:
+                    obs.counter("swat.extrapolations").inc(ans.n_extrapolated)
+            causal_mod.block_finish(
+                _t0, "swat.query.latency", self.causal, "swat.answer",
+                site="swat", cover=len(ans.nodes_used),
             )
         return ans
 

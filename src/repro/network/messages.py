@@ -24,12 +24,6 @@ class MessageKind:
     INSERT = "insert"  # replica grant (a site joins a replication scheme)
     UNSUBSCRIBE = "unsubscribe"  # a site leaves a replication scheme
 
-    #: Transport-level delivery acknowledgement (reliable mode only).  Acks
-    #: are *not* protocol messages: they never enter :class:`MessageStats`
-    #: (``ALL``), so the paper's hop-count cost metric is unchanged whether
-    #: the transport runs reliably or not.
-    ACK = "ack"
-
     ALL = (QUERY, RESPONSE, UPDATE, INSERT, UNSUBSCRIBE)
 
     # Data-bearing kinds cost 1 in the Divergence Caching formula; the rest
@@ -39,10 +33,7 @@ class MessageKind:
     @classmethod
     def category(cls, kind: str) -> str:
         """Coarse taxonomy for trace annotation: ``"data"`` (costs 1 in the
-        DC formula), ``"control"`` (costs ``w``), or ``"ack"`` (transport
-        bookkeeping, invisible to the cost model)."""
-        if kind == cls.ACK:
-            return "ack"
+        DC formula) or ``"control"`` (costs ``w``)."""
         return "data" if kind in cls.DATA_KINDS else "control"
 
 

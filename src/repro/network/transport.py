@@ -54,8 +54,7 @@ from types import MappingProxyType
 from typing import Any, Callable, Dict, Mapping, Optional, Set, Tuple
 
 from ..obs import metrics as obs
-from ..obs.causal import CausalTracer, Span, TraceContext, current_causal
-from ..obs.trace import FaultRecord, HopRecord, Tracer
+from ..obs.causal import CausalTracer, Span, TraceContext, count_event, current_causal
 from ..simulate import shake as shake_mod
 from ..simulate.events import Simulator
 from .faults import FaultPlan
@@ -72,6 +71,20 @@ _ROLL_DUPLICATE = 1
 _ROLL_JITTER = 2
 _ROLL_ACK_DROP = 3
 _ROLL_ACK_JITTER = 4
+
+#: The ``transport.*`` counter (and labels) each fault or reliability event
+#: bumps while metrics are on; ``None`` events are traced only.
+_EVENT_COUNTERS: Dict[str, Tuple[Optional[str], Mapping[str, object]]] = {
+    "drop": ("transport.dropped", {"reason": "drop"}),
+    "ack_drop": ("transport.dropped", {"reason": "drop"}),
+    "crash": ("transport.dropped", {"reason": "crash"}),
+    "duplicate": ("transport.duplicated", {}),
+    "dedup": ("transport.dedup_hits", {}),
+    "retry": ("transport.retries", {}),
+    "give_up": ("transport.failed", {}),
+    "jitter": (None, {}),
+    "ack": (None, {}),
+}
 
 
 def _edge_hash(src: str, dst: str, kind: str) -> int:
@@ -99,7 +112,7 @@ class Envelope:
     ``payload`` is snapshotted at construction and exposed read-only
     (``MappingProxyType``): duplicated or retried deliveries of the same
     envelope must never observe each other's mutations, and neither the
-    sender nor a tracer can alter what a handler sees.  ``msg_id`` is set in
+    sender nor a later copy can alter what a handler sees.  ``msg_id`` is set in
     reliable mode only and keys ack/retry/dedup bookkeeping.
 
     ``trace`` is the causal trace context this envelope travels under (the
@@ -157,8 +170,6 @@ class Transport:
     latency:
         Per-hop delivery delay in virtual seconds (0 = same-instant delivery,
         still in FIFO event order).
-    tracer:
-        Optional per-envelope trace sink (send / deliver / fault hooks).
     causal:
         Optional :class:`~repro.obs.causal.CausalTracer`; defaults to the
         process-wide tracer active at construction
@@ -189,7 +200,6 @@ class Transport:
         sim: Simulator,
         topology: Topology,
         latency: float = 0.0,
-        tracer: Optional[Tracer] = None,
         causal: Optional[CausalTracer] = None,
         faults: Optional[FaultPlan] = None,
         retry_timeout: Optional[float] = None,
@@ -208,9 +218,6 @@ class Transport:
         self.topology = topology
         self.latency = latency
         self.stats = MessageStats()
-        #: Optional per-envelope trace sink (send + deliver + fault hooks);
-        #: ``None`` keeps the hot path at one attribute check.
-        self.tracer: Optional[Tracer] = tracer
         #: Optional causal tracer; picked up from the process-wide switch at
         #: construction unless passed explicitly.
         self.causal: Optional[CausalTracer] = (
@@ -297,8 +304,6 @@ class Transport:
         if kind not in MessageKind.ALL:
             raise ValueError(f"unknown message kind {kind!r}")
         self.stats.record(kind)
-        if self.tracer is not None:
-            self.tracer.on_send(src, dst, kind, self.sim.now)
         if obs.ENABLED:
             obs.counter("transport.sent").inc()
         ctx = trace if trace is not None else self.sim.current_context
@@ -355,32 +360,39 @@ class Transport:
 
     def _deliver(self, env: Envelope, span: Optional[Span] = None) -> None:
         self._untrack(env)
-        if self.tracer is not None:
-            self.tracer.on_deliver(
-                HopRecord(env.src, env.dst, env.kind, env.sent_at, self.sim.now)
-            )
+        self._delivered(env, span)
+        self._handlers[env.dst](env)
+
+    def _delivered(self, env: Envelope, span: Optional[Span], **annotations: object) -> None:
+        """Watch one first delivery: the delivery metrics, and the hop span
+        (if still open) closed as ``delivered``."""
         if obs.ENABLED:
             obs.counter("transport.delivered").inc()
             obs.histogram("transport.hop_latency").observe(self.sim.now - env.sent_at)
-        if span is not None:
-            span.finish(self.sim.now, status="delivered")
-        self._handlers[env.dst](env)
+        if span is not None and not span.finished:
+            span.finish(self.sim.now, status="delivered", **annotations)
 
     # --------------------------------------------------- reliable-mode path
 
-    def _on_fault(self, fault: str, env: Envelope, detail: str = "") -> None:
-        if self.tracer is not None:
-            self.tracer.on_fault(
-                FaultRecord(fault, env.src, env.dst, env.kind, self.sim.now, detail)
-            )
-
-    def _causal_event(self, span: Optional[Span], name: str, **annotations: object) -> None:
-        """Record an instant child event under a hop span (no-op when causal
-        tracing is off — ``span`` is only ever created with a tracer)."""
-        if span is not None and self.causal is not None:
-            self.causal.event(
-                name, at=self.sim.now, parent=span.context, site=span.site, **annotations
-            )
+    def _event(
+        self, name: str, span: Optional[Span], late: Optional[Envelope] = None,
+        **annotations: object,
+    ) -> None:
+        """Watch one fault or reliability event: bump its ``transport.*``
+        counter and record it under the hop span — or, with no span (the
+        logical message already settled), under the ``late`` copy's own
+        context at its receiving site."""
+        counter, labels = _EVENT_COUNTERS[name]
+        parent: Optional[TraceContext] = None
+        site = ""
+        if span is not None:
+            parent, site = span.context, span.site
+        elif late is not None:
+            parent, site = late.trace, late.dst
+        count_event(
+            counter, self.causal, name, at=self.sim.now, parent=parent, site=site,
+            labels=labels, **annotations,
+        )
 
     def _transmit(self, pending: _PendingSend) -> None:
         """One physical transmission attempt: roll faults, schedule copies
@@ -395,22 +407,15 @@ class Transport:
         if plan.roll_drop(key=base + (_ROLL_DROP,)):
             copies = 0
             self.dropped += 1
-            self._on_fault("drop", env)
-            self._causal_event(pending.span, "drop", attempt=pending.attempts)
-            if obs.ENABLED:
-                obs.counter("transport.dropped", reason="drop").inc()
+            self._event("drop", pending.span, attempt=pending.attempts)
         elif plan.roll_duplicate(key=base + (_ROLL_DUPLICATE,)):
             copies = 2
             self.duplicated += 1
-            self._on_fault("duplicate", env)
-            self._causal_event(pending.span, "duplicate", attempt=pending.attempts)
-            if obs.ENABLED:
-                obs.counter("transport.duplicated").inc()
+            self._event("duplicate", pending.span, attempt=pending.attempts)
         for copy_idx in range(copies):
             extra = plan.roll_jitter(key=base + (_ROLL_JITTER, copy_idx))
             if extra > 0:
-                self._on_fault("jitter", env, detail=f"{extra:.6f}")
-                self._causal_event(pending.span, "jitter", extra=round(extra, 6))
+                self._event("jitter", pending.span, extra=round(extra, 6))
             self.sim.schedule_after(
                 self.latency + extra,
                 lambda: self._deliver_reliable(env),
@@ -436,10 +441,7 @@ class Transport:
         span = pending.span if pending is not None else None
         if plan.is_crashed(env.dst, self.sim.now):
             self.dropped += 1
-            self._on_fault("crash", env)
-            self._causal_event(span, "crash", crashed=env.dst)
-            if obs.ENABLED:
-                obs.counter("transport.dropped", reason="crash").inc()
+            self._event("crash", span, crashed=env.dst)
             return
         seen = self._seen.setdefault(env.dst, set())
         if shake_mod.DETECTOR is not None:
@@ -448,31 +450,17 @@ class Transport:
             # Duplicate or retransmitted copy: never re-dispatch, but re-ack
             # so a lost ack cannot stall the sender forever.
             self.dedup_hits += 1
-            if obs.ENABLED:
-                obs.counter("transport.dedup_hits").inc()
-            if span is not None:
-                self._causal_event(span, "dedup")
-            elif self.causal is not None and env.trace is not None:
-                # The logical message was already acked (pending gone), so
-                # the dedup of this late copy hangs off the envelope's own
-                # hop context to stay inside the originating trace.
-                self.causal.event(
-                    "dedup", at=self.sim.now, parent=env.trace, site=env.dst
-                )
+            # Once the logical message is acked (pending gone), the dedup of
+            # this late copy hangs off the envelope's own hop context to stay
+            # inside the originating trace.
+            self._event("dedup", span, late=env)
             self._send_ack(env)
             return
         seen.add(env.msg_id)
-        if self.tracer is not None:
-            self.tracer.on_deliver(
-                HopRecord(env.src, env.dst, env.kind, env.sent_at, self.sim.now)
-            )
-        if obs.ENABLED:
-            obs.counter("transport.delivered").inc()
-            obs.histogram("transport.hop_latency").observe(self.sim.now - env.sent_at)
-        if pending is not None and pending.span is not None and not pending.span.finished:
-            pending.span.finish(
-                self.sim.now, status="delivered", attempts=pending.attempts
-            )
+        if pending is not None:
+            self._delivered(env, span, attempts=pending.attempts)
+        else:
+            self._delivered(env, None)
         try:
             self._handlers[env.dst](env)
         finally:
@@ -493,20 +481,9 @@ class Transport:
         self.acks += 1
         if obs.ENABLED:
             obs.counter("transport.acks").inc()
-        if self.tracer is not None:
-            self.tracer.on_send(env.dst, env.src, MessageKind.ACK, self.sim.now)
         if plan.roll_drop(key=ack_key + (_ROLL_ACK_DROP,)):
             self.dropped += 1
-            self._on_fault(
-                "drop",
-                Envelope(env.dst, env.src, MessageKind.ACK, {}, self.sim.now),
-            )
-            if self.causal is not None and env.trace is not None:
-                self.causal.event(
-                    "ack_drop", at=self.sim.now, parent=env.trace, site=env.dst
-                )
-            if obs.ENABLED:
-                obs.counter("transport.dropped", reason="drop").inc()
+            self._event("ack_drop", None, late=env)
             return
         msg_id = env.msg_id
         self.sim.schedule_after(
@@ -522,7 +499,7 @@ class Transport:
         pending = self._pending.pop(msg_id, None)
         if pending is None:
             return  # already acked (earlier copy) or already declared failed
-        self._causal_event(pending.span, "ack")
+        self._event("ack", pending.span)
         self._untrack(pending.env)
 
     def _on_timeout(self, msg_id: int, expected_attempts: int) -> None:
@@ -536,20 +513,14 @@ class Transport:
             del self._pending[msg_id]
             self._untrack(env)
             self.failed += 1
-            self._on_fault("give_up", env, detail=f"attempts={pending.attempts}")
-            self._causal_event(pending.span, "give_up", attempts=pending.attempts)
+            self._event("give_up", pending.span, attempts=pending.attempts)
             if pending.span is not None and not pending.span.finished:
                 pending.span.finish(self.sim.now, status="failed")
-            if obs.ENABLED:
-                obs.counter("transport.failed").inc()
             if pending.on_failed is not None:
                 pending.on_failed(env)
             return
         self.retries += 1
-        if obs.ENABLED:
-            obs.counter("transport.retries").inc()
-        self._on_fault("retry", env, detail=f"attempt={pending.attempts + 1}")
-        self._causal_event(pending.span, "retry", attempt=pending.attempts + 1)
+        self._event("retry", pending.span, attempt=pending.attempts + 1)
         self._transmit(pending)
 
     # ---------------------------------------------------------------- drain

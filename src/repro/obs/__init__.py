@@ -1,17 +1,16 @@
-"""Observability: metrics registry, tracing hooks, and exporters.
+"""Observability: metrics registry, causal tracing, and exporters.
 
-Three small modules:
+Four small modules:
 
 * :mod:`repro.obs.metrics` — process-local counters / gauges / histograms,
   off by default, cheap enough to leave on (one dict lookup + add per event);
-* :mod:`repro.obs.trace` — structured spans for the event simulator and
-  per-hop records for the message transport, behind a ``tracer`` attribute
-  that defaults to ``None`` (one attribute check when disabled);
-* :mod:`repro.obs.export` — JSON and Prometheus-style serialization plus the
-  human-readable report behind ``repro stats``;
 * :mod:`repro.obs.causal` — trace contexts, per-operation span trees, and
   critical-path analysis, behind a ``causal`` attribute that defaults to
-  ``None`` (see "Causal tracing" in ``docs/observability.md``);
+  ``None`` (see "Causal tracing" in ``docs/observability.md``), plus the one
+  instrumentation seam (:func:`block_start` / :func:`block_finish`) that
+  times a unit of work once for both the histogram and the span;
+* :mod:`repro.obs.export` — JSON and Prometheus-style serialization plus the
+  human-readable report behind ``repro stats``;
 * :mod:`repro.obs.chrome` — Chrome trace-event / Perfetto JSON export of
   collected causal traces (``repro trace`` / ``--trace-out``).
 
@@ -34,10 +33,15 @@ from .causal import (
     Span,
     SpanTree,
     TraceContext,
+    block_finish,
+    block_start,
+    count_event,
     current_causal,
     disable_causal,
     enable_causal,
     format_critical_path,
+    instant_hop,
+    open_span,
     record_query_trace,
     record_update_trace,
     render_tree,
@@ -69,7 +73,6 @@ from .metrics import (
     set_registry,
     snapshot_delta,
 )
-from .trace import EventSpan, HopRecord, RecordingTracer, Tracer
 
 __all__ = [
     "Counter",
@@ -87,10 +90,6 @@ __all__ = [
     "histogram",
     "metrics_snapshot",
     "snapshot_delta",
-    "EventSpan",
-    "HopRecord",
-    "Tracer",
-    "RecordingTracer",
     "TraceContext",
     "Span",
     "SpanTree",
@@ -103,6 +102,11 @@ __all__ = [
     "format_critical_path",
     "record_query_trace",
     "record_update_trace",
+    "block_start",
+    "block_finish",
+    "open_span",
+    "instant_hop",
+    "count_event",
     "to_chrome",
     "write_chrome",
     "validate_chrome",

@@ -1,11 +1,11 @@
 """Causal tracing: trace contexts, span trees, and critical-path analysis.
 
 The metrics registry (:mod:`repro.obs.metrics`) counts *how many* events
-happened and the flat tracer (:mod:`repro.obs.trace`) records *that* they
-happened — but neither links them.  This module adds the causal layer: every
+happened but does not link them.  This module adds the causal layer: every
 query, update push, and transport hop becomes a :class:`Span` in a tree
-rooted at the operation that caused it, so a degraded answer can be traced
-back to the exact drop, retry, or stale-version rejection that produced it.
+rooted at the operation that caused it, and every fault becomes an instant
+event under its hop, so a degraded answer can be traced back to the exact
+drop, retry, or stale-version rejection that produced it.
 
 Design rules (see ``docs/observability.md``):
 
@@ -20,6 +20,12 @@ Design rules (see ``docs/observability.md``):
   ``causal`` attribute that defaults to ``None``; the disabled hot path is
   ``if self.causal is not None`` and nothing else.
 
+The instrumentation seam also lives here: :func:`block_start` /
+:func:`block_finish` time one unit of work from a single timestamp pair
+that feeds both the metrics histogram and the causal span, and
+:func:`open_span` / :func:`count_event` are the one-call forms of "open a
+root span" and "bump a counter and log the same-named event".
+
 Analysis lives next to collection: :meth:`SpanTree.critical_path` attributes
 every instant of a trace's duration to exactly one span (the segments tile
 ``[root.start, root.end]``, so their widths sum to the observed end-to-end
@@ -31,8 +37,9 @@ the results into the metrics registry.  Perfetto/Chrome export lives in
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from . import metrics as obs_metrics
 
@@ -49,6 +56,11 @@ __all__ = [
     "format_critical_path",
     "record_query_trace",
     "record_update_trace",
+    "block_start",
+    "block_finish",
+    "open_span",
+    "instant_hop",
+    "count_event",
 ]
 
 
@@ -479,7 +491,7 @@ def format_critical_path(segments: List[CriticalSegment], *, unit: str = "s") ->
 
 # --------------------------------------------------------- metrics bridge
 
-def record_query_trace(tracer: CausalTracer, root: Span, protocol: str) -> None:
+def record_query_trace(tracer: Optional[CausalTracer], root: Span, protocol: str) -> None:
     """Feed one finished query trace into the metrics registry.
 
     Records ``trace.query.critical_path_seconds{protocol=...}`` (the segment
@@ -487,7 +499,7 @@ def record_query_trace(tracer: CausalTracer, root: Span, protocol: str) -> None:
     ``trace.query.phase_seconds{phase=...,protocol=...}``.  No-op unless
     metrics are enabled and the trace was admitted.
     """
-    if not obs_metrics.ENABLED or not tracer.has_trace(root.trace_id):
+    if not obs_metrics.ENABLED or tracer is None or not tracer.has_trace(root.trace_id):
         return
     tree = tracer.tree(root.trace_id)
     phases = tree.phase_durations()
@@ -500,12 +512,115 @@ def record_query_trace(tracer: CausalTracer, root: Span, protocol: str) -> None:
         ).observe(duration)
 
 
-def record_update_trace(tracer: CausalTracer, root: Span, protocol: str) -> None:
+def record_update_trace(tracer: Optional[CausalTracer], root: Span, protocol: str) -> None:
     """Feed one finished update-push trace into the metrics registry:
     ``trace.update.hops{protocol=...}`` counts transport hops in the tree."""
-    if not obs_metrics.ENABLED or not tracer.has_trace(root.trace_id):
+    if not obs_metrics.ENABLED or tracer is None or not tracer.has_trace(root.trace_id):
         return
     tree = tracer.tree(root.trace_id)
     obs_metrics.histogram(
         "trace.update.hops", buckets=obs_metrics.COUNT_BUCKETS, protocol=protocol
     ).observe(tree.hop_count())
+
+
+# ---------------------------------------------------- instrumentation seam
+
+_NO_LABELS: Mapping[str, object] = {}
+
+
+def block_start(causal: Optional[CausalTracer]) -> Optional[float]:
+    """Start watching one unit of work (an arrival, a block, a query...).
+
+    Returns ``time.perf_counter()`` when metrics are on or ``causal`` is set,
+    ``None`` otherwise — the one check an unwatched process pays.  Pass the
+    result to :func:`block_finish`.
+    """
+    if obs_metrics.ENABLED or causal is not None:
+        return time.perf_counter()
+    return None
+
+
+def block_finish(
+    t0: float,
+    histogram: Optional[str],
+    causal: Optional[CausalTracer],
+    span: Union[str, Span, None],
+    *,
+    site: str = "",
+    parent: Optional[TraceContext] = None,
+    **annotations: object,
+) -> None:
+    """Finish a block opened by :func:`block_start` at one end timestamp.
+
+    The single ``(t0, t1)`` pair feeds both sinks, so the histogram's
+    observation and the span's duration are the same number: ``histogram``
+    (when named) observes ``t1 - t0`` while metrics are on, and ``span`` —
+    a name recorded over ``[t0, t1]`` under ``parent`` when ``causal`` is
+    set, or a span already opened at ``t0`` — finishes at ``t1`` with
+    ``annotations``.
+    """
+    t1 = time.perf_counter()
+    if histogram is not None and obs_metrics.ENABLED:
+        obs_metrics.histogram(histogram).observe(t1 - t0)
+    if isinstance(span, Span):
+        span.finish(t1, **annotations)
+    elif span is not None and causal is not None:
+        causal.start_span(span, at=t0, site=site, parent=parent).finish(
+            t1, **annotations
+        )
+
+
+def open_span(
+    causal: Optional[CausalTracer],
+    name: str,
+    *,
+    at: Optional[float],
+    site: str = "",
+    parent: Optional[TraceContext] = None,
+    **annotations: object,
+) -> Tuple[Optional[Span], Optional[TraceContext]]:
+    """Open a span (a root one without ``parent``) and return it with the
+    context its children attach to; ``(None, None)`` when tracing is off or
+    ``at`` is ``None`` (an unwatched :func:`block_start`)."""
+    if causal is None or at is None:
+        return None, None
+    span = causal.start_span(name, at=at, site=site, parent=parent, **annotations)
+    return span, span.context
+
+
+def instant_hop(
+    causal: Optional[CausalTracer],
+    name: str,
+    *,
+    at: float,
+    site: str,
+    parent: Optional[TraceContext],
+    **annotations: object,
+) -> Optional[TraceContext]:
+    """One counted-call hop (no transmission delay): a span opened and
+    delivered at ``at`` under ``parent``.  Returns the context the hop's
+    effects chain under — ``parent`` itself when the work is untraced."""
+    if causal is None or parent is None:
+        return parent
+    span = causal.start_span(name, at=at, site=site, parent=parent, **annotations)
+    return span.finish(at, status="delivered").context
+
+
+def count_event(
+    counter: Optional[str],
+    causal: Optional[CausalTracer],
+    event: str,
+    *,
+    at: float,
+    parent: Optional[TraceContext],
+    site: str = "",
+    labels: Mapping[str, object] = _NO_LABELS,
+    **annotations: object,
+) -> None:
+    """One protocol or transport event, watched once: bump ``counter``
+    (with ``labels``) while metrics are on, and record the instant causal
+    ``event`` under ``parent`` when a tracer is set and the work is traced."""
+    if counter is not None and obs_metrics.ENABLED:
+        obs_metrics.counter(counter, **labels).inc()
+    if causal is not None and parent is not None:
+        causal.event(event, at=at, parent=parent, site=site, **annotations)

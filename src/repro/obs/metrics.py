@@ -20,7 +20,6 @@ in snapshots and exports.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Type, TypeVar, Union, cast
 
 from ..metrics.timing import Stopwatch
@@ -401,11 +400,6 @@ def metrics_snapshot() -> dict:
     """Snapshot of the process-wide registry (the helper benchmarks and
     examples use instead of hand-rolled result dicts)."""
     return _registry.snapshot()
-
-
-def now() -> float:
-    """Wall clock used by the instrumentation (monotonic seconds)."""
-    return time.perf_counter()
 
 
 # ---------------------------------------------------------- snapshot algebra

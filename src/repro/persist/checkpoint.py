@@ -44,13 +44,13 @@ import hashlib
 import io
 import json
 import os
-import time
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..network.faults import FaultPlan
 from ..obs import metrics as obs
+from ..obs.causal import block_finish, block_start
 
 __all__ = [
     "MAGIC",
@@ -215,7 +215,7 @@ def write_checkpoint(
     module docstring); a torn write leaves a truncated file behind and bumps
     ``checkpoint.torn_writes`` so tests can assert the injection fired.
     """
-    _t0 = time.perf_counter() if obs.ENABLED else None
+    _t0 = block_start(None)  # no tracer: set exactly when metrics are on
     data = _encode(kind, state, meta)
     torn = False
     if faults is not None and faults.roll_torn_write(
@@ -232,16 +232,14 @@ def write_checkpoint(
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp_path, path)
-    if obs.ENABLED and _t0 is not None:
+    if _t0 is not None:
         obs.counter("checkpoint.writes", kind=kind).inc()
         obs.histogram("checkpoint.write.bytes", buckets=SIZE_BUCKETS).observe(
             len(data)
         )
-        obs.histogram("checkpoint.write.latency").observe(
-            time.perf_counter() - _t0
-        )
         if torn:
             obs.counter("checkpoint.torn_writes", kind=kind).inc()
+        block_finish(_t0, "checkpoint.write.latency", None, None)
     return len(data)
 
 
@@ -264,7 +262,7 @@ def load_checkpoint(
     :exc:`FileNotFoundError` when the file does not exist — the two cases
     deserve different log lines even though recovery treats them alike.
     """
-    _t0 = time.perf_counter() if obs.ENABLED else None
+    _t0 = block_start(None)  # no tracer: set exactly when metrics are on
     with open(path, "rb") as fh:
         raw = fh.read()
     newline = raw.find(b"\n")
@@ -316,10 +314,8 @@ def load_checkpoint(
         except (ValueError, OSError, KeyError) as exc:
             raise _corrupt(path, f"unparseable array section: {exc}") from exc
     state = plant_arrays(lifted, arrays)
-    if obs.ENABLED and _t0 is not None:
+    if _t0 is not None:
         obs.counter("checkpoint.loads", kind=str(header.get("kind"))).inc()
-        obs.histogram("checkpoint.load.latency").observe(
-            time.perf_counter() - _t0
-        )
+        block_finish(_t0, "checkpoint.load.latency", None, None)
     meta = header.get("meta")
     return state, dict(meta) if isinstance(meta, dict) else {}

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Set
 
 from ..network.topology import Topology
 from ..obs import causal as causal_mod
-from ..obs.causal import Span, TraceContext
+from ..obs.causal import TraceContext
 
 __all__ = ["AdrObject"]
 
@@ -81,21 +81,6 @@ class AdrObject:
         # Ambient causal tracer (None when tracing is off): reads and writes
         # become span trees whose hop spans mirror the counted tree edges.
         self.causal = causal_mod.current_causal()
-
-    def _traced_hop(
-        self,
-        name: str,
-        src: str,
-        dst: str,
-        at: float,
-        ctx: Optional[TraceContext],
-    ) -> Optional[TraceContext]:
-        """One counted tree-edge message as a zero-duration hop span."""
-        if self.causal is None or ctx is None:
-            return ctx
-        span = self.causal.start_span(name, at=at, site=src, parent=ctx, dst=dst)
-        span.finish(at, status="delivered")
-        return span.context
 
     # ------------------------------------------------------------- structure
 
@@ -162,15 +147,13 @@ class AdrObject:
     def read(self, origin: str, at: float = 0.0) -> float:
         """A read at ``origin``: travels to the closest replica."""
         path = self._path_to_replica(origin)
-        root_span: Optional[Span] = None
-        ctx: Optional[TraceContext] = None
-        if self.causal is not None:
-            root_span = self.causal.start_span(
-                "read", at=at, site=origin, protocol="ADR"
+        root_span, ctx = causal_mod.open_span(
+            self.causal, "read", at=at, site=origin, protocol="ADR"
+        )
+        for src, dst in zip(path, path[1:]):
+            ctx = causal_mod.instant_hop(
+                self.causal, "hop:query", at=at, site=src, parent=ctx, dst=dst
             )
-            ctx = root_span.context
-            for src, dst in zip(path, path[1:]):
-                ctx = self._traced_hop("hop:query", src, dst, at, ctx)
         self.messages += len(path) - 1
         target = path[-1]
         counters = self._counters[target]
@@ -186,15 +169,13 @@ class AdrObject:
         """A write at ``origin``: reaches R, then updates every replica."""
         self.value = float(value)
         path = self._path_to_replica(origin)
-        root_span: Optional[Span] = None
-        ctx: Optional[TraceContext] = None
-        if self.causal is not None:
-            root_span = self.causal.start_span(
-                "write", at=at, site=origin, protocol="ADR"
+        root_span, ctx = causal_mod.open_span(
+            self.causal, "write", at=at, site=origin, protocol="ADR"
+        )
+        for src, dst in zip(path, path[1:]):
+            ctx = causal_mod.instant_hop(
+                self.causal, "hop:update", at=at, site=src, parent=ctx, dst=dst
             )
-            ctx = root_span.context
-            for src, dst in zip(path, path[1:]):
-                ctx = self._traced_hop("hop:update", src, dst, at, ctx)
         self.messages += len(path) - 1
         entry = path[-1]
         entry_counters = self._counters[entry]
@@ -214,8 +195,9 @@ class AdrObject:
             for v in self._neighbours(node):
                 if v in self.replicas and v not in visited:
                     self.messages += 1
-                    flood_ctx[v] = self._traced_hop(
-                        "hop:update", node, v, at, flood_ctx[node]
+                    flood_ctx[v] = causal_mod.instant_hop(
+                        self.causal, "hop:update", at=at, site=node,
+                        parent=flood_ctx[node], dst=v,
                     )
                     c = self._counters[v]
                     c.writes[node] = c.writes.get(node, 0) + 1

@@ -92,18 +92,17 @@ class AdaptivePrecision(ReplicationProtocol):
                     # client's refresh batch is a single logical hop span
                     # annotated with its item count and tree distance.
                     if root_span is None:
-                        root_span = self.causal.start_span(
-                            "update", at=now, site=self.topology.root,
+                        root_span, ctx = causal_mod.open_span(
+                            self.causal, "update", at=now, site=self.topology.root,
                             protocol=self.name,
                         )
-                        ctx = root_span.context
-                    self.causal.start_span(
-                        f"hop:{MessageKind.UPDATE}", at=now,
+                    causal_mod.instant_hop(
+                        self.causal, f"hop:{MessageKind.UPDATE}", at=now,
                         site=self.topology.root, parent=ctx, dst=client,
                         items=n, hops=hops,
                         category=MessageKind.category(MessageKind.UPDATE),
-                    ).finish(now, status="delivered")
-        if root_span is not None and self.causal is not None:
+                    )
+        if root_span is not None:
             root_span.finish(now)
             causal_mod.record_update_trace(self.causal, root_span, self.name)
 
@@ -118,13 +117,9 @@ class AdaptivePrecision(ReplicationProtocol):
         answer = 0.0
         self.last_query_hops = 0
         weights = dict(zip(query.indices, query.weights))
-        root_span: Optional[Span] = None
-        ctx: Optional[TraceContext] = None
-        if self.causal is not None:
-            root_span = self.causal.start_span(
-                "query", at=now, site=client, protocol=self.name
-            )
-            ctx = root_span.context
+        root_span, ctx = causal_mod.open_span(
+            self.causal, "query", at=now, site=client, protocol=self.name
+        )
         for idx in query.indices:
             width = hi[idx] - lo[idx]
             if width <= tolerances[idx]:
@@ -135,18 +130,18 @@ class AdaptivePrecision(ReplicationProtocol):
                 self.stats.record(MessageKind.QUERY, hops)
                 self.stats.record(MessageKind.RESPONSE, hops)
                 self.last_query_hops = 2 * hops
-                if self.causal is not None and ctx is not None:
-                    fwd = self.causal.start_span(
-                        f"hop:{MessageKind.QUERY}", at=now, site=client,
+                if self.causal is not None:
+                    fwd = causal_mod.instant_hop(
+                        self.causal, f"hop:{MessageKind.QUERY}", at=now, site=client,
                         parent=ctx, dst=self.topology.root, item=idx, hops=hops,
                         category=MessageKind.category(MessageKind.QUERY),
-                    ).finish(now, status="delivered")
-                    self.causal.start_span(
-                        f"hop:{MessageKind.RESPONSE}", at=now,
-                        site=self.topology.root, parent=fwd.context, dst=client,
+                    )
+                    causal_mod.instant_hop(
+                        self.causal, f"hop:{MessageKind.RESPONSE}", at=now,
+                        site=self.topology.root, parent=fwd, dst=client,
                         item=idx, hops=hops,
                         category=MessageKind.category(MessageKind.RESPONSE),
-                    ).finish(now, status="delivered")
+                    )
                 estimate = self.window[idx]
                 new_width = width / (1.0 + self.alpha)
                 if new_width < self.tau_0:
@@ -155,7 +150,7 @@ class AdaptivePrecision(ReplicationProtocol):
                 lo[idx] = centre - new_width / 2.0
                 hi[idx] = centre + new_width / 2.0
             answer += weights[idx] * estimate
-        if root_span is not None and self.causal is not None:
+        if root_span is not None:
             root_span.finish(now, hops=self.last_query_hops)
             causal_mod.record_query_trace(self.causal, root_span, self.name)
         return answer

@@ -22,7 +22,7 @@ one descends the tree, exactly as in the Section 3 walk-through.
 from __future__ import annotations
 
 import logging
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .. import contracts
 from ..core.coverage import CoverageError
@@ -32,7 +32,7 @@ from ..network.directory import Directory, DirectoryRow, Segment, SegmentPlanCac
 from ..network.messages import MessageKind
 from ..network.topology import Topology
 from ..obs import causal as causal_mod
-from ..obs.causal import Span, TraceContext
+from ..obs.causal import TraceContext
 from .base import ReplicationProtocol
 
 __all__ = ["SwatAsr"]
@@ -96,17 +96,13 @@ class SwatAsr(ReplicationProtocol):
 
     def _propagate(self, value: float, now: float) -> None:
         """Refresh every segment range at the source; push non-enclosed changes."""
-        root_span: Optional[Span] = None
-        ctx: Optional[TraceContext] = None
-        if self.causal is not None:
-            root_span = self.causal.start_span(
-                "update", at=now, site=self.topology.root, protocol=self.name
-            )
-            ctx = root_span.context
+        root_span, ctx = causal_mod.open_span(
+            self.causal, "update", at=now, site=self.topology.root, protocol=self.name
+        )
         for seg in self._segments:
             rng = self._segment_range(seg)
             self._apply_update(self.topology.root, seg, rng, at=now, ctx=ctx)
-        if root_span is not None and self.causal is not None:
+        if root_span is not None:
             root_span.finish(now)
             causal_mod.record_update_trace(self.causal, root_span, self.name)
         if self._check_invariants:
@@ -125,18 +121,12 @@ class SwatAsr(ReplicationProtocol):
         The synchronous model has no transmission delay, so the span opens
         and closes at ``at``; what the trace captures is the *structure* —
         which site pushed or forwarded to which, in what causal order."""
-        if self.causal is None or ctx is None:
-            return ctx
-        span = self.causal.start_span(
-            f"hop:{kind}",
-            at=at,
-            site=src,
-            parent=ctx,
-            dst=dst,
+        if ctx is None:
+            return None  # untraced: skip building the span's name and labels
+        return causal_mod.instant_hop(
+            self.causal, f"hop:{kind}", at=at, site=src, parent=ctx, dst=dst,
             category=MessageKind.category(kind),
         )
-        span.finish(at, status="delivered")
-        return span.context
 
     def _segment_range(self, seg: Segment) -> Tuple[float, float]:
         if not self.use_summary_ranges:
@@ -201,19 +191,15 @@ class SwatAsr(ReplicationProtocol):
         by_segment = self._segment_plans.group(query.indices)
         weights = dict(zip(query.indices, query.weights))
         before = self.stats.count(MessageKind.QUERY)
-        root_span: Optional[Span] = None
-        ctx: Optional[TraceContext] = None
-        if self.causal is not None:
-            root_span = self.causal.start_span(
-                "query", at=now, site=client, protocol=self.name
-            )
-            ctx = root_span.context
+        root_span, ctx = causal_mod.open_span(
+            self.causal, "query", at=now, site=client, protocol=self.name
+        )
         estimates = self._query_at(
             client, query, by_segment, weights, from_child=None, at=now, ctx=ctx
         )
         # One query message per hop up and one response per hop back.
         self.last_query_hops = 2 * (self.stats.count(MessageKind.QUERY) - before)
-        if root_span is not None and self.causal is not None:
+        if root_span is not None:
             root_span.finish(now, hops=self.last_query_hops)
             causal_mod.record_query_trace(self.causal, root_span, self.name)
         return sum(weights[i] * estimates[i] for i in query.indices)
@@ -271,13 +257,9 @@ class SwatAsr(ReplicationProtocol):
     def on_phase_end(self, now: float = 0.0) -> None:
         """Figure 8(b): contraction then expansion tests, then counter reset."""
         root = self.topology.root
-        phase_span: Optional[Span] = None
-        ctx: Optional[TraceContext] = None
-        if self.causal is not None:
-            phase_span = self.causal.start_span(
-                "phase", at=now, site=root, protocol=self.name
-            )
-            ctx = phase_span.context
+        phase_span, ctx = causal_mod.open_span(
+            self.causal, "phase", at=now, site=root, protocol=self.name
+        )
         # Contraction, deepest sites first, so a chain can shrink in one phase.
         clients = sorted(self.topology.clients, key=self.topology.depth, reverse=True)
         for node in clients:

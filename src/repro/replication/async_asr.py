@@ -383,14 +383,11 @@ class _Site:
         entry = self.pending.pop(qid, None)
         if entry is None:
             return  # already answered through another path
-        if obs.ENABLED:
-            obs.counter("asr.degraded_serves", site=self.id).inc()
         origin, target, ctx = entry
-        causal = self.system.causal
-        if causal is not None and ctx is not None:
-            causal.event(
-                "degraded_serve", at=self.system.sim.now, parent=ctx, site=self.id
-            )
+        causal_mod.count_event(
+            "asr.degraded_serves", self.system.causal, "degraded_serve",
+            at=self.system.sim.now, parent=ctx, site=self.id, labels={"site": self.id},
+        )
         payload = self.degraded_payload(query)
         if origin == "child":
             self._respond(cast(str, target), {"qid": qid, **payload}, ctx=ctx)
@@ -413,17 +410,11 @@ class _Site:
         """
         if version is not None:
             if version <= self._applied_version.get(seg, 0):
-                if obs.ENABLED:
-                    obs.counter("asr.stale_updates_dropped", site=self.id).inc()
-                causal = self.system.causal
-                if causal is not None and ctx is not None:
-                    causal.event(
-                        "stale_update_dropped",
-                        at=self.system.sim.now,
-                        parent=ctx,
-                        site=self.id,
-                        version=version,
-                    )
+                causal_mod.count_event(
+                    "asr.stale_updates_dropped", self.system.causal, "stale_update_dropped",
+                    at=self.system.sim.now, parent=ctx, site=self.id,
+                    labels={"site": self.id}, version=version,
+                )
                 return
             self._applied_version[seg] = version
         if shake_mod.DETECTOR is not None:
@@ -529,11 +520,10 @@ class _Site:
                     continue  # the scheme moved on; nothing to restore
                 if obs.ENABLED:
                     obs.counter("asr.resyncs", site=self.id).inc()
-                if causal is not None and span is None:
-                    span = causal.start_span(
-                        "resync", at=self.system.sim.now, site=self.id
+                if span is None:
+                    span, ctx = causal_mod.open_span(
+                        causal, "resync", at=self.system.sim.now, site=self.id
                     )
-                    ctx = span.context
                 assert row.approx is not None
                 self.push_update(child, seg, row.approx, MessageKind.UPDATE, ctx=ctx)
                 pushes += 1
@@ -855,11 +845,9 @@ class AsyncSwatAsr:
     def _checkpoint_site(self, site_id: str) -> None:
         assert self.checkpoints is not None
         site = self.sites[site_id]
-        span: Optional[Span] = None
-        if self.causal is not None:
-            span = self.causal.start_span(
-                "checkpoint.write", at=self.sim.now, site=site_id
-            )
+        span, _ = causal_mod.open_span(
+            self.causal, "checkpoint.write", at=self.sim.now, site=site_id
+        )
         self._ckpt_seq += 1
         written = self.checkpoints.write(
             site_id,
@@ -909,34 +897,28 @@ class AsyncSwatAsr:
         """
         assert self.checkpoints is not None
         site = self.sites[node]
-        span: Optional[Span] = None
-        if self.causal is not None:
-            span = self.causal.start_span(
-                "checkpoint.load", at=self.sim.now, site=node
-            )
+        span, _ = causal_mod.open_span(
+            self.causal, "checkpoint.load", at=self.sim.now, site=node
+        )
+        outcome = "ok"
         try:
             state, _meta = load_checkpoint(
                 self.checkpoints.checkpoint_path(node), SITE_CHECKPOINT_KIND
             )
         except FileNotFoundError:
+            outcome = "missing"
             if obs.ENABLED:
                 obs.counter("checkpoint.load.missing").inc()
-            if span is not None:
-                span.finish(self.sim.now, outcome="missing")
-            return
         except CheckpointCorruptError:
-            # checkpoint.load.corrupt was bumped by the loader.
-            if span is not None:
-                span.finish(self.sim.now, outcome="corrupt")
-            return
+            outcome = "corrupt"  # checkpoint.load.corrupt was bumped by the loader
         if span is not None:
-            span.finish(self.sim.now, outcome="ok")
+            span.finish(self.sim.now, outcome=outcome)
+        if outcome != "ok":
+            return
         records, _torn = self.checkpoints.wal(node).replay()
-        replay_span: Optional[Span] = None
-        if self.causal is not None:
-            replay_span = self.causal.start_span(
-                "checkpoint.replay", at=self.sim.now, site=node
-            )
+        replay_span, _ = causal_mod.open_span(
+            self.causal, "checkpoint.replay", at=self.sim.now, site=node
+        )
         try:
             site.restore_from(state, records)
         except ValueError:
@@ -978,19 +960,15 @@ class AsyncSwatAsr:
         root_span: Optional[Span] = None
         ctx: Optional[TraceContext] = None
         if self.transport.is_up(self.topology.root):
-            if self.causal is not None:
-                root_span = self.causal.start_span(
-                    "update",
-                    at=self.sim.now,
-                    site=self.topology.root,
-                    protocol=self.name,
-                )
-                ctx = root_span.context
+            root_span, ctx = causal_mod.open_span(
+                self.causal, "update", at=self.sim.now, site=self.topology.root,
+                protocol=self.name,
+            )
             for seg in self._segments:
                 rng = self.window.segment_range(seg.newest, seg.oldest)
                 source.apply_update(seg, rng, ctx=ctx)
         self.transport.drain()
-        if root_span is not None and self.causal is not None:
+        if root_span is not None:
             # Finished after the drain so the span covers the whole cascade
             # (retransmissions included), not just the source-local apply.
             root_span.finish(self.sim.now)
@@ -1024,22 +1002,17 @@ class AsyncSwatAsr:
             box["payload"] = payload
             box["at"] = self.sim.now
 
-        root_span: Optional[Span] = None
-        ctx: Optional[TraceContext] = None
-        if self.causal is not None:
-            root_span = self.causal.start_span(
-                "query", at=issued_at, site=client, protocol=self.name
-            )
-            ctx = root_span.context
+        root_span, ctx = causal_mod.open_span(
+            self.causal, "query", at=issued_at, site=client, protocol=self.name
+        )
 
         site = self.sites[client]
         if not self.transport.is_up(client):
             # The client site itself is down: its local stub answers from
             # the last-known directory rather than erroring out.
-            if self.causal is not None:
-                self.causal.event(
-                    "degraded_stub", at=self.sim.now, parent=ctx, site=client
-                )
+            causal_mod.count_event(
+                None, self.causal, "degraded_stub", at=self.sim.now, parent=ctx, site=client
+            )
             deliver(site.degraded_payload(query))
         else:
             qid = site.issue_query(query, deliver, ctx=ctx)
@@ -1051,10 +1024,10 @@ class AsyncSwatAsr:
                 # interior hop; serve the client's own last-known summary.
                 if qid is not None:
                     site.pending.pop(qid, None)
-                if self.causal is not None:
-                    self.causal.event(
-                        "degraded_stub", at=self.sim.now, parent=ctx, site=client
-                    )
+                causal_mod.count_event(
+                    None, self.causal, "degraded_stub", at=self.sim.now, parent=ctx,
+                    site=client,
+                )
                 deliver(site.degraded_payload(query))
 
         payload = cast(_AnswerPayload, box["payload"])
@@ -1067,7 +1040,7 @@ class AsyncSwatAsr:
         degraded = bool(payload.get("degraded", False))
         if degraded and obs.ENABLED:
             obs.counter("asr.degraded_answers").inc()
-        if root_span is not None and self.causal is not None:
+        if root_span is not None:
             # The span ends when the *answer* landed, not when the drain
             # returned: late retransmissions after a degraded answer stay in
             # the tree but out of this query's wall-clock.
@@ -1103,13 +1076,10 @@ class AsyncSwatAsr:
         self._handle_recoveries()
         if self.faults is not None:
             self._resync_all()
-        root_span: Optional[Span] = None
-        ctx: Optional[TraceContext] = None
-        if self.causal is not None:
-            root_span = self.causal.start_span(
-                "phase", at=self.sim.now, site=self.topology.root, protocol=self.name
-            )
-            ctx = root_span.context
+        root_span, ctx = causal_mod.open_span(
+            self.causal, "phase", at=self.sim.now, site=self.topology.root,
+            protocol=self.name,
+        )
         root = self.topology.root
         clients = sorted(self.topology.clients, key=self.topology.depth, reverse=True)
         for node in clients:

@@ -107,6 +107,42 @@ class TestSwatCorruption:
             tree.update(1.0)
 
 
+class TestNonFiniteState:
+    """Finite inputs near the float limit overflow the Haar butterfly; the
+    invariant check must refuse the poisoned node at once instead of letting
+    the tree serve ``nan`` until a checkpoint fails to serialize."""
+
+    def test_extend_overflow_names_the_node(self):
+        tree = Swat(16, k=16, check_invariants=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(
+                InvariantViolation, match=r"level \d+ node [RSL]: non-finite state"
+            ):
+                tree.extend([1e308] * 40)
+
+    def test_update_overflow_names_the_node(self):
+        tree = Swat(16, k=16, check_invariants=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(
+                InvariantViolation, match=r"level 0 node R: non-finite state"
+            ):
+                for value in [1e308] * 40:
+                    tree.update(value)
+        assert tree.time == 2  # caught on the first refresh that overflowed
+
+    def test_non_finite_deviation_names_the_node(self):
+        tree = warm_swat()
+        tree.node(1, "S").deviation = float("inf")
+        with pytest.raises(InvariantViolation, match=r"level 1 node S: non-finite.*deviation=inf"):
+            check_swat(tree)
+
+    def test_non_finite_coefficient_is_caught_by_check_swat(self):
+        tree = warm_swat()
+        tree.node(2, "L").coeffs = np.array([np.nan])
+        with pytest.raises(InvariantViolation, match=r"level 2 node L: non-finite.*nan"):
+            check_swat(tree)
+
+
 class TestAsrCorruption:
     def test_non_monotone_directory_names_site_and_segment(self):
         topo, asr = warm_asr()

@@ -28,7 +28,7 @@ from repro.network.faults import CrashWindow, FaultPlan
 from repro.network.messages import MessageKind
 from repro.network.topology import SOURCE, Topology
 from repro.network.transport import Envelope, Transport, TransportDrainError
-from repro.obs.trace import RecordingTracer
+from repro.obs.causal import CausalTracer, TraceContext
 from repro.replication.asr import SwatAsr
 from repro.replication.async_asr import AsyncSwatAsr
 from repro.simulate.events import Simulator
@@ -183,20 +183,23 @@ class TestReliableDelivery:
         assert seqs != list(range(10))  # seeded to actually reorder
 
     def test_tracer_sees_fault_records(self):
-        tracer = RecordingTracer()
+        causal = CausalTracer()
         topo = Topology.single_client()
         sim = Simulator()
         tr = Transport(
-            sim, topo, tracer=tracer, faults=FaultPlan(drop_rate=1.0),
+            sim, topo, causal=causal, faults=FaultPlan(drop_rate=1.0),
             retry_timeout=0.1, max_retries=1,
         )
         tr.register("C1", lambda env: None)
         tr.send(SOURCE, "C1", MessageKind.UPDATE)
         tr.drain()
-        kinds = [record.fault for record in tracer.faults]
-        assert kinds.count("drop") == 2
-        assert kinds.count("retry") == 1
-        assert kinds.count("give_up") == 1
+        (hop,) = [span for span in causal.spans if span.name == "hop:update"]
+        events = [s.name for s in causal.tree(hop.trace_id).children(hop.span_id)]
+        assert events.count("drop") == 2
+        assert events.count("retry") == 1
+        assert events.count("give_up") == 1
+        assert hop.finished
+        assert hop.annotations["status"] == "failed"
 
 
 class TestEnvelopePayloadFrozen:
@@ -282,17 +285,23 @@ class TestHandlerRaises:
         assert tr.acks >= 1
 
     def test_event_span_emitted_when_action_raises(self):
-        tracer = RecordingTracer()
-        sim = Simulator(tracer=tracer)
+        # A raising action still leaves the simulator consistent: the clock
+        # moved to the event, the trace context is cleared, and the queue
+        # keeps running.
+        sim = Simulator()
+        fired = []
 
         def boom():
             raise ValueError("exploding event")
 
-        sim.schedule_at(1.0, boom, label="boom")
+        sim.schedule_at(1.0, boom, label="boom", ctx=TraceContext(1, 1))
+        sim.schedule_at(2.0, lambda: fired.append(sim.now), label="next")
         with pytest.raises(ValueError, match="exploding event"):
             sim.step()
-        assert [span.label for span in tracer.spans] == ["boom"]
-        assert tracer.spans[0].fired_at == 1.0
+        assert sim.now == 1.0
+        assert sim.current_context is None
+        sim.run()
+        assert fired == [2.0]
 
 
 def run_schedule(proto, seed=0, steps=120):

@@ -3,7 +3,10 @@
 import pytest
 
 from repro import obs
+from repro.network.topology import Topology
+from repro.network.transport import Transport
 from repro.obs.metrics import render_key, snapshot_delta
+from repro.simulate.events import Simulator
 
 
 class TestCounterGauge:
@@ -87,6 +90,26 @@ class TestHistogram:
     def test_empty_buckets_rejected(self):
         with pytest.raises(ValueError):
             obs.MetricsRegistry().histogram("h", buckets=())
+
+
+class TestTransportMetrics:
+    def test_hop_latency_histogram_matches_configured_latency(self, obs_registry):
+        sim = Simulator()
+        topo = Topology.single_client()
+        transport = Transport(sim, topo, latency=0.1)
+        for node in topo.nodes:
+            transport.register(node, lambda env: None)
+        client = topo.clients[0]
+        for __ in range(8):
+            transport.send(client, topo.root, "query")
+            transport.drain()
+        hist = obs_registry.histogram("transport.hop_latency")
+        assert hist.count == 8
+        assert hist.min == pytest.approx(0.1)
+        assert hist.max == pytest.approx(0.1)
+        assert hist.sum == pytest.approx(0.8)
+        assert obs_registry.counter("transport.sent").value == 8
+        assert obs_registry.counter("transport.delivered").value == 8
 
 
 class TestRegistry:
