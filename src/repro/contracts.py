@@ -25,12 +25,14 @@ from __future__ import annotations
 
 import math
 import os
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 if TYPE_CHECKING:  # avoid runtime circular imports; checkers take the objects
     from .core.swat import Swat
+    from .network.directory import Directory, Segment
+    from .network.topology import Topology
     from .replication.asr import SwatAsr
     from .replication.async_asr import AsyncSwatAsr
 
@@ -48,8 +50,7 @@ ENV_VAR = "REPRO_CHECK_INVARIANTS"
 
 _FALSY = frozenset({"", "0", "false", "no", "off"})
 
-#: Slack for float comparisons on cached range widths (matches
-#: ``SwatAsr.precision_is_monotone``).
+#: Slack for float comparisons on cached range widths.
 _WIDTH_TOLERANCE = 1e-9
 
 
@@ -141,6 +142,33 @@ def check_swat(tree: "Swat") -> None:
 # -------------------------------------------------------------------- ASR
 
 
+def _check_root_ward_widths(
+    topology: "Topology",
+    directory_of: Callable[[str], "Directory"],
+    excused: Optional[Callable[[str, str, "Segment"], bool]] = None,
+    excusals: str = "",
+) -> None:
+    """The one root-ward width comparison: on every client-parent edge, a
+    cached child row must be at least as wide as its parent's row, unless
+    ``excused(child, parent, segment)`` says the pair is in a known degraded
+    state (``excusals`` names those states in the error)."""
+    for node in topology.clients:
+        parent = topology.parent(node)
+        assert parent is not None
+        parent_dir = directory_of(parent)
+        for seg, child_row in directory_of(node).rows.items():
+            if not child_row.is_cached or (excused is not None and excused(node, parent, seg)):
+                continue
+            parent_width = parent_dir.row(seg).width
+            if parent_width > child_row.width + _WIDTH_TOLERANCE:
+                raise InvariantViolation(
+                    f"segment {seg}: cached width at {node!r} "
+                    f"({child_row.width:g}) is tighter than at its parent "
+                    f"{parent!r} ({parent_width:g}){excusals}; precision "
+                    "must be monotone non-increasing toward the source"
+                )
+
+
 def check_asr(asr: "SwatAsr") -> None:
     """Verify the ASR directory's precision monotonicity (Section 3).
 
@@ -149,22 +177,7 @@ def check_asr(asr: "SwatAsr") -> None:
     only be fresher.  Raises :exc:`InvariantViolation` naming the child
     site, its parent, and the segment.
     """
-    for node in asr.topology.clients:
-        parent = asr.topology.parent(node)
-        child_dir = asr.sites[node]
-        parent_dir = asr.sites[parent]
-        for seg in asr._segments:
-            child_row = child_dir.row(seg)
-            if not child_row.is_cached:
-                continue
-            parent_row = parent_dir.row(seg)
-            if parent_row.width > child_row.width + _WIDTH_TOLERANCE:
-                raise InvariantViolation(
-                    f"segment {seg}: cached width at {node!r} "
-                    f"({child_row.width:g}) is tighter than at its parent "
-                    f"{parent!r} ({parent_row.width:g}); precision must be "
-                    "monotone non-increasing toward the source"
-                )
+    _check_root_ward_widths(asr.topology, lambda node: asr.sites[node])
 
 
 def check_async_asr(asr: "AsyncSwatAsr") -> None:
@@ -184,28 +197,11 @@ def check_async_asr(asr: "AsyncSwatAsr") -> None:
     Everything else must satisfy the Section 3 monotonicity.  Called after
     every arrival and phase boundary when invariant checking is on.
     """
-    transport = asr.transport
-    for node in asr.topology.clients:
-        parent = asr.topology.parent(node)
-        assert parent is not None
-        if not transport.is_up(node) or not transport.is_up(parent):
-            continue
-        child_site = asr.sites[node]
-        parent_site = asr.sites[parent]
-        excused = parent_site.unsynced.get(node, frozenset())
-        for seg in asr._segments:
-            if seg in excused:
-                continue
-            child_row = child_site.directory.row(seg)
-            if not child_row.is_cached or child_site._suspect(seg):
-                continue
-            parent_row = parent_site.directory.row(seg)
-            if parent_row.width > child_row.width + _WIDTH_TOLERANCE:
-                raise InvariantViolation(
-                    f"segment {seg}: cached width at {node!r} "
-                    f"({child_row.width:g}) is tighter than at its parent "
-                    f"{parent!r} ({parent_row.width:g}) and the pair is not "
-                    "in a degraded state (crashed, unsynced, or suspect); "
-                    "precision must be monotone non-increasing toward the "
-                    "source"
-                )
+    is_up, sites = asr.transport.is_up, asr.sites
+
+    def excused(node: str, parent: str, seg: "Segment") -> bool:
+        up = is_up(node) and is_up(parent)
+        return not up or seg in sites[parent].unsynced.get(node, ()) or sites[node]._suspect(seg)
+
+    degraded = " and the pair is not in a degraded state (crashed, unsynced, or suspect)"
+    _check_root_ward_widths(asr.topology, lambda node: sites[node].directory, excused, degraded)

@@ -5,6 +5,10 @@ approximation partition: ``(0,1), (2,3), (4,7), (8,15), ..., (N/2, N-1)`` —
 ``log N`` rows, one per level except level 0 which contributes two (exactly
 Table 1 for ``N = 16``).  Each row carries the window segment, the cached
 range approximation, and the subscription list of children holding a replica.
+
+Figure 8's rules live here once — the enclosure-gated write, the whole-query
+precision test, phase-end contraction and expansion — so both SWAT-ASR
+runtimes differ only in how they move messages.
 """
 
 from __future__ import annotations
@@ -12,9 +16,10 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..wavelets.transform import is_power_of_two
+from .messages import MessageKind
 
 __all__ = [
     "Segment",
@@ -108,11 +113,54 @@ class DirectoryRow:
             return False
         return self.approx[0] <= new_range[0] and new_range[1] <= self.approx[1]
 
+    def adopt(self, new_range: Tuple[float, float]) -> bool:
+        """Figure 8(a), update branch: store ``new_range``.  True (a counted
+        write that must reach subscribers) when a cached range failed to enclose it."""
+        written = self.is_cached and not self.encloses(new_range)
+        self.approx = new_range
+        if written:
+            self.write_count += 1
+        return written
+
     def note_read(self, child: str) -> None:
         """Record a read from ``child`` (Figure 8(a)'s satisfied-query branch)."""
         if child not in self.subscribed and child not in self.interested:
             self.interested.add(child)
         self.read_counts[child] = self.read_counts.get(child, 0) + 1
+
+    def count_read(self, reader: Optional[str]) -> None:
+        """Count one read: local when ``reader`` is None, else from that child."""
+        if reader is None:
+            self.local_reads += 1
+        else:
+            self.note_read(reader)
+
+    def should_contract(self) -> bool:
+        """Figure 8(b) contraction test: an R-fringe copy (cached, no
+        subscribers) whose local reads fell short of its writes."""
+        return self.is_cached and not self.subscribed and self.local_reads < self.write_count
+
+    def expand(self) -> List[Tuple[str, str]]:
+        """Figure 8(b) expansion; drains ``interested`` and returns the
+        ``(child, kind)`` pushes to send to children whose reads outran the
+        row's writes: UPDATE to such subscribers, then INSERT to such
+        interested children, who join ``subscribed``.  Each group is sorted so
+        hash order never reaches message emission (REP009); a row holding no
+        copy pushes nothing."""
+        if not self.is_cached:
+            self.interested.clear()
+            return []
+        writes, reads = self.write_count, self.read_counts
+        pushes = [
+            (v, MessageKind.UPDATE)
+            for v in sorted(self.subscribed)
+            if writes < reads.get(v, 0)
+        ]
+        joined = sorted(v for v in self.interested if writes < reads.get(v, 0))
+        self.interested.clear()
+        self.subscribed.update(joined)
+        pushes.extend((v, MessageKind.INSERT) for v in joined)
+        return pushes
 
     def reset_counts(self) -> None:
         """Phase boundary: clear read and write counters."""
@@ -199,9 +247,45 @@ class Directory:
             )
         return self._segment_list[max(int(index).bit_length() - 1, 0)]
 
+    def reset_counts(self) -> None:
+        """Phase boundary: clear every row's read and write counters."""
+        for row in self.rows.values():
+            row.reset_counts()
+
     def cached_count(self) -> int:
         """Number of cached approximations at this site (space metric, §5.1)."""
         return sum(1 for row in self.rows.values() if row.is_cached)
+
+    def satisfy(
+        self,
+        by_segment: Mapping[Segment, Sequence[int]],
+        weights: Mapping[int, float],
+        precision: float,
+        reader: Optional[str],
+        width: Optional[Callable[[Segment], float]] = None,
+    ) -> Optional[Dict[int, float]]:
+        """Figure 8(a), query branch: the whole-query precision test.
+
+        The offer ``sum_i W[i] * width(segment(i))`` (the Section 3 walk-through
+        compares ``40 - 30 = 10`` against the required ``8``) uses the row's
+        width unless ``width`` overrides it.  Within ``precision``, each queried
+        row counts a read by ``reader`` and the midpoints are returned;
+        otherwise ``None`` and nothing is counted."""
+        rows = self.rows
+        offered = 0.0
+        for seg, indices in by_segment.items():
+            w = rows[seg].width if width is None else width(seg)
+            offered += sum(weights[i] for i in indices) * w
+        if not offered <= precision:  # also forwards a nan offer (0 * inf)
+            return None
+        estimates: Dict[int, float] = {}
+        for seg, indices in by_segment.items():
+            row = rows[seg]
+            row.count_read(reader)
+            mid = row.midpoint
+            for idx in indices:
+                estimates[idx] = mid
+        return estimates
 
     # ----------------------------------------------------------- persistence
 

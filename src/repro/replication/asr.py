@@ -16,7 +16,11 @@ over the spanning tree:
   outran writes.
 
 Precision is monotone: the range cached for a segment never gets tighter as
-one descends the tree, exactly as in the Section 3 walk-through.
+one descends the tree, exactly as in the Section 3 walk-through
+(:func:`repro.contracts.check_asr`).
+
+The per-row rules themselves live in :mod:`repro.network.directory`; this
+runtime only moves their messages, as direct recursive calls counted per hop.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .. import contracts
 from ..core.coverage import CoverageError
 from ..core.queries import InnerProductQuery
 from ..core.swat import Swat
-from ..network.directory import Directory, DirectoryRow, Segment, SegmentPlanCache
+from ..network.directory import Directory, Segment, SegmentPlanCache
 from ..network.messages import MessageKind
 from ..network.topology import Topology
 from ..obs import causal as causal_mod
@@ -158,11 +162,7 @@ class SwatAsr(ReplicationProtocol):
     ) -> None:
         """Figure 8(a), update branch, at ``node`` (then cascading down)."""
         row = self.sites[node].row(seg)
-        was_cached = row.is_cached
-        enclosed = row.encloses(rng)
-        row.approx = rng
-        if was_cached and not enclosed:
-            row.write_count += 1
+        if row.adopt(rng):
             # Sorted: subscriber sets are hash-ordered, and the emission
             # order of cascaded UPDATEs must not depend on PYTHONHASHSEED
             # (REP009).
@@ -178,11 +178,10 @@ class SwatAsr(ReplicationProtocol):
 
         The query is decomposed into per-segment sub-queries.  A site
         satisfies the query when the *total* weighted precision offered by
-        its cached ranges — ``sum_i W[i] * width(segment(i))``, with width
-        as the offered precision, exactly as the Section 3 walk-through
-        compares ``40 - 30 = 10`` against the required ``8`` — is within the
-        query's ``delta``.  Otherwise the whole query travels one hop toward
-        the source (one query message and one response per hop).
+        its cached ranges is within the query's ``delta``
+        (:meth:`~repro.network.directory.Directory.satisfy`).  Otherwise the
+        whole query travels one hop toward the source (one query message and
+        one response per hop).
         """
         if client not in self.topology:
             raise KeyError(f"unknown site {client!r}")
@@ -218,19 +217,10 @@ class SwatAsr(ReplicationProtocol):
         if node == self.topology.root:
             # The source answers exactly from the stream itself.
             for seg in by_segment:
-                self._count_read(directory.row(seg), from_child)
+                directory.row(seg).count_read(from_child)
             return {idx: self.window[idx] for idx in query.indices}
-        offered = 0.0
-        for seg, indices in by_segment.items():
-            width = directory.row(seg).width  # inf when not cached
-            offered += sum(weights[i] for i in indices) * width
-        if offered <= query.precision:
-            estimates: Dict[int, float] = {}
-            for seg, indices in by_segment.items():
-                row = directory.row(seg)
-                self._count_read(row, from_child)
-                for idx in indices:
-                    estimates[idx] = row.midpoint
+        estimates = directory.satisfy(by_segment, weights, query.precision, from_child)
+        if estimates is not None:
             return estimates
         parent = self.topology.parent(node)
         assert parent is not None  # the source always satisfies
@@ -245,74 +235,48 @@ class SwatAsr(ReplicationProtocol):
         self._traced_hop(MessageKind.RESPONSE, parent, node, at, hop_ctx)
         return estimates
 
-    @staticmethod
-    def _count_read(row: DirectoryRow, from_child: Optional[str]) -> None:
-        if from_child is None:
-            row.local_reads += 1
-        else:
-            row.note_read(from_child)
-
     # ------------------------------------------------------------- phase end
 
     def on_phase_end(self, now: float = 0.0) -> None:
         """Figure 8(b): contraction then expansion tests, then counter reset."""
-        root = self.topology.root
         phase_span, ctx = causal_mod.open_span(
-            self.causal, "phase", at=now, site=root, protocol=self.name
+            self.causal, "phase", at=now, site=self.topology.root, protocol=self.name
         )
         # Contraction, deepest sites first, so a chain can shrink in one phase.
-        clients = sorted(self.topology.clients, key=self.topology.depth, reverse=True)
-        for node in clients:
-            directory = self.sites[node]
+        for node in sorted(self.topology.clients, key=self.topology.depth, reverse=True):
             for seg in self._segments:
-                row = directory.row(seg)
-                if row.is_cached and not row.subscribed:  # R-fringe for seg
-                    if row.local_reads < row.write_count:
-                        logger.debug(
-                            "phase end t=%g: %s contracts segment %s "
-                            "(reads=%d < writes=%d)",
-                            now, node, seg, row.local_reads, row.write_count,
-                        )
-                        row.approx = None
-                        self.stats.record(MessageKind.UNSUBSCRIBE)
-                        parent = self.topology.parent(node)
-                        assert parent is not None
-                        self._traced_hop(MessageKind.UNSUBSCRIBE, node, parent, now, ctx)
-                        self.sites[parent].row(seg).subscribed.discard(node)
+                row = self.sites[node].row(seg)
+                if row.should_contract():
+                    logger.debug(
+                        "phase end t=%g: %s contracts segment %s (reads=%d < writes=%d)",
+                        now, node, seg, row.local_reads, row.write_count,
+                    )
+                    row.approx = None
+                    self.stats.record(MessageKind.UNSUBSCRIBE)
+                    parent = self.topology.parent(node)
+                    assert parent is not None
+                    self._traced_hop(MessageKind.UNSUBSCRIBE, node, parent, now, ctx)
+                    self.sites[parent].row(seg).subscribed.discard(node)
         # Expansion at every site still holding a copy (the source always does).
         for node in self.topology.nodes:
-            directory = self.sites[node]
             for seg in self._segments:
-                row = directory.row(seg)
-                if node != root and not row.is_cached:
-                    row.interested.clear()
-                    continue
-                # Sorted: iteration feeds message emission; set order is
-                # hash order and must not leak into the trace (REP009).
-                for v in sorted(row.subscribed):
-                    if row.write_count < row.read_counts.get(v, 0):
-                        # Refresh a subscriber whose cached range proved too wide.
-                        self.stats.record(MessageKind.UPDATE)
-                        hop_ctx = self._traced_hop(MessageKind.UPDATE, node, v, now, ctx)
-                        self._apply_update(v, seg, row.approx, at=now, ctx=hop_ctx)
-                for v in sorted(row.interested):
-                    row.interested.discard(v)
-                    if row.write_count < row.read_counts.get(v, 0):
+                row = self.sites[node].row(seg)
+                for child, kind in row.expand():
+                    assert row.approx is not None  # only a held copy expands
+                    if kind == MessageKind.INSERT:
                         logger.debug(
-                            "phase end t=%g: scheme for segment %s expands "
-                            "%s -> %s (reads=%d > writes=%d)",
-                            now, seg, node, v,
-                            row.read_counts.get(v, 0), row.write_count,
+                            "phase end t=%g: scheme for segment %s expands %s -> %s "
+                            "(reads=%d > writes=%d)",
+                            now, seg, node, child, row.read_counts[child], row.write_count,
                         )
-                        row.subscribed.add(v)
-                        self.stats.record(MessageKind.INSERT)
-                        self._traced_hop(MessageKind.INSERT, node, v, now, ctx)
-                        self.sites[v].row(seg).approx = row.approx
+                    # Both kinds land through the child's write rule.
+                    self.stats.record(kind)
+                    hop_ctx = self._traced_hop(kind, node, child, now, ctx)
+                    self._apply_update(child, seg, row.approx, at=now, ctx=hop_ctx)
         if phase_span is not None:
             phase_span.finish(now)
         for node in self.topology.nodes:
-            for seg in self._segments:
-                self.sites[node].row(seg).reset_counts()
+            self.sites[node].reset_counts()
         if self._check_invariants:
             contracts.check_asr(self)
 
@@ -324,15 +288,3 @@ class SwatAsr(ReplicationProtocol):
             self.sites[node].cached_count() for node in self.topology.clients
         )
         return total + len(self._segments)  # the source always holds them all
-
-    def precision_is_monotone(self) -> bool:
-        """Invariant check: widths never shrink as one descends the tree."""
-        for node in self.topology.clients:
-            parent = self.topology.parent(node)
-            for seg in self._segments:
-                child_row = self.sites[node].row(seg)
-                parent_row = self.sites[parent].row(seg)
-                if child_row.is_cached:
-                    if parent_row.width > child_row.width + 1e-9:
-                        return False
-        return True

@@ -8,11 +8,12 @@ request/response correlation ids, updates cascade as real deliveries, and
 per-hop latency is an actual simulator delay — so response latency is
 measured, not derived.
 
-At zero latency the execution is step-for-step equivalent to the synchronous
-implementation: identical message counts, identical answers, identical
-directory state (asserted in ``tests/test_async_asr.py``).  With positive
-latency the protocol exhibits what a real deployment would: stale reads in
-flight, delayed refreshes, and measurable round-trip times.
+Both runtimes run Figure 8's rules from :mod:`repro.network.directory` and
+differ only in message plane, so at zero latency the execution is
+step-for-step equivalent to the synchronous implementation: identical message
+counts, answers and directory state (asserted in ``tests/test_async_asr.py``).
+With positive latency the protocol exhibits what a real deployment would:
+stale reads in flight, delayed refreshes, and measurable round-trip times.
 
 Fault tolerance
 ---------------
@@ -64,9 +65,10 @@ from typing import (
 
 from .. import contracts
 from ..control.governor import ReplicaGovernor
+from ..core.errors import require_finite
 from ..core.queries import InnerProductQuery
 from ..metrics.error import GroundTruthWindow
-from ..network.directory import Directory, DirectoryRow, Segment, SegmentPlanCache
+from ..network.directory import Directory, Segment, SegmentPlanCache
 from ..network.faults import FaultPlan
 from ..network.messages import MessageKind, MessageStats
 from ..network.topology import Topology
@@ -207,42 +209,37 @@ class _Site:
         if shake_mod.DETECTOR is not None:
             for seg in by_segment:
                 shake_mod.note_read(f"site:{self.id}", "directory", seg)
-        weights = dict(zip(query.indices, query.weights))
         if self.id == self.system.topology.root:
             for seg in by_segment:
-                self._count_read(self.directory.row(seg), from_child)
+                self.directory.row(seg).count_read(from_child)
             estimates = {i: self.system.window[i] for i in query.indices}
             return {
                 "estimates": estimates,
                 "halfwidths": {i: 0.0 for i in query.indices},
                 "served_by": self.id,
             }
-        offered = 0.0
-        for seg, indices in by_segment.items():
-            offered += sum(weights[i] for i in indices) * self._trusted_width(seg)
-        if offered > query.precision:
+        weights = dict(zip(query.indices, query.weights))
+        estimates = self.directory.satisfy(
+            by_segment, weights, query.precision, from_child, width=self._trusted_width
+        )
+        if estimates is None:
             return None
-        estimates = {}
-        halfwidths: Dict[int, float] = {}
-        for seg, indices in by_segment.items():
-            row = self.directory.row(seg)
-            self._count_read(row, from_child)
-            for idx in indices:
-                estimates[idx] = row.midpoint
-                halfwidths[idx] = row.width / 2.0
+        halfwidths = {
+            i: self.directory.row(seg).width / 2.0
+            for seg, indices in by_segment.items()
+            for i in indices
+        }
         return {"estimates": estimates, "halfwidths": halfwidths, "served_by": self.id}
 
     def _trusted_width(self, seg: Segment) -> float:
-        """The precision this site can honestly offer for ``seg``: the cached
-        range width, or infinity for rows it must not trust — uncached rows
-        and rows last synced before the site's own most recent crash recovery
-        (a restarted process knows it restarted; anything older than the
-        restart may have missed updates, so the query forwards root-ward for
-        a fresh answer instead)."""
-        row = self.directory.row(seg)
-        if not row.is_cached or self._suspect(seg):
+        """The precision this site can honestly offer for ``seg``: the row's
+        width (infinite when uncached), or infinity for a row last synced
+        before the site's own most recent crash recovery (a restarted process
+        knows it restarted; anything older than the restart may have missed
+        updates, so the query forwards root-ward for a fresh answer instead)."""
+        if self._suspect(seg):
             return float("inf")
-        return row.width
+        return self.directory.row(seg).width
 
     def _suspect(self, seg: Segment) -> bool:
         """True when the row was last synced before this site's most recent
@@ -299,13 +296,6 @@ class _Site:
             "degraded": True,
             "stale_since": None if never_synced else stale_since,
         }
-
-    @staticmethod
-    def _count_read(row: DirectoryRow, from_child: Optional[str]) -> None:
-        if from_child is None:
-            row.local_reads += 1
-        else:
-            row.note_read(from_child)
 
     # -------------------------------------------------------------- messages
 
@@ -420,9 +410,7 @@ class _Site:
         if shake_mod.DETECTOR is not None:
             shake_mod.note_write(f"site:{self.id}", "directory", seg)
         row = self.directory.row(seg)
-        was_cached = row.is_cached
-        enclosed = row.encloses(rng)
-        row.approx = rng
+        written = row.adopt(rng)
         self.last_update_at[seg] = self.system.sim.now
         self._wal(
             {
@@ -433,8 +421,7 @@ class _Site:
                 "at": self.system.sim.now,
             }
         )
-        if was_cached and not enclosed:
-            row.write_count += 1
+        if written:
             # Sorted, not set order: which child's UPDATE is *sent* first
             # decides per-edge fault-roll sequence numbers, so set iteration
             # would leak hash order into delivery fates (REP009).
@@ -579,11 +566,12 @@ class _Site:
         leaves the site untouched for the legacy cold-resync fallback.
 
         Replay is a *state* reconstruction, not a re-execution: no messages
-        are sent.  ``up`` records redo the enclosure-gated row write (same
-        ``write_count`` bookkeeping as :meth:`apply_update`), ``push``
-        records restore the monotone sequence counter (so the restored site
-        never re-issues versions its children already applied), and
-        ``mark``/``unmark`` records rebuild the unsynced map.
+        are sent.  ``up`` records redo the enclosure-gated row write through
+        :meth:`~repro.network.directory.DirectoryRow.adopt`, as
+        :meth:`apply_update` does; ``push`` records restore the monotone
+        sequence counter (so the restored site never re-issues versions its
+        children already applied), and ``mark``/``unmark`` records rebuild the
+        unsynced map.
         """
         segment_by_pair = {
             (s.newest, s.oldest): s for s in self.directory.segments
@@ -631,16 +619,11 @@ class _Site:
                 if kind == "up":
                     seg = seg_of(rec["seg"])
                     lo, hi = (float(v) for v in rec["range"])
-                    row = directory.row(seg)
-                    was_cached = row.is_cached
-                    enclosed = row.encloses((lo, hi))
-                    row.approx = (lo, hi)
+                    directory.row(seg).adopt((lo, hi))
                     last_update_at[seg] = float(rec["at"])
                     version = rec.get("version")
                     if version is not None:
                         applied[seg] = max(applied.get(seg, 0), int(version))
-                    if was_cached and not enclosed:
-                        row.write_count += 1
                 elif kind == "unsub":
                     directory.row(seg_of(rec["seg"])).subscribed.discard(
                         str(rec["src"])
@@ -947,6 +930,7 @@ class AsyncSwatAsr:
         and a crashed source skips the cascade (the window still tracks the
         true stream so recovery resumes from fresh ranges).
         """
+        require_finite(value)
         if now is not None and now > self.sim.now:
             self.sim.run_until(now)
         self._handle_recoveries()
@@ -990,6 +974,8 @@ class AsyncSwatAsr:
         crashed client or a fully lost response chain degrades to the
         client's last-known summary instead.
         """
+        if client not in self.topology:
+            raise KeyError(f"unknown site {client!r}")
         if not self.is_warm:
             raise RuntimeError("stream window not yet full; warm up before querying")
         if now is not None and now > self.sim.now:
@@ -1080,26 +1066,14 @@ class AsyncSwatAsr:
             self.causal, "phase", at=self.sim.now, site=self.topology.root,
             protocol=self.name,
         )
-        root = self.topology.root
         clients = sorted(self.topology.clients, key=self.topology.depth, reverse=True)
         for node in clients:
             site = self.sites[node]
             if not self.transport.is_up(node):
                 continue  # a crashed site runs no contraction test this phase
             for seg in self._segments:
-                row = site.directory.row(seg)
-                if row.is_cached and not row.subscribed:
-                    if row.local_reads < row.write_count:
-                        row.approx = None
-                        parent = self.topology.parent(node)
-                        assert parent is not None
-                        self.transport.send(
-                            node,
-                            parent,
-                            MessageKind.UNSUBSCRIBE,
-                            {"segment": seg},
-                            trace=ctx,
-                        )
+                if site.directory.row(seg).should_contract():
+                    self._unsubscribe(node, seg, ctx)
             self.transport.drain()
         if self.governor is not None:
             # Cache-row budget pass: runs after contraction (so rows the
@@ -1119,16 +1093,7 @@ class AsyncSwatAsr:
                         rows.append((seg, row.local_reads, bool(row.subscribed)))
                 evict = self.governor.select_evictions(rows)
                 for seg in evict:
-                    site.directory.row(seg).approx = None
-                    parent = self.topology.parent(node)
-                    assert parent is not None
-                    self.transport.send(
-                        node,
-                        parent,
-                        MessageKind.UNSUBSCRIBE,
-                        {"segment": seg},
-                        trace=ctx,
-                    )
+                    self._unsubscribe(node, seg, ctx)
                     self.governor.rows_evicted += 1
                     if obs.ENABLED:
                         obs.counter("shed.asr.rows_evicted").inc()
@@ -1140,28 +1105,16 @@ class AsyncSwatAsr:
                 continue
             for seg in self._segments:
                 row = site.directory.row(seg)
-                if node != root and not row.is_cached:
-                    row.interested.clear()
-                    continue
-                # Sorted, not set order: these pushes are message emission,
-                # so iteration order decides per-edge fault-roll sequence
-                # numbers (REP009); hash order must not leak into fates.
-                for v in sorted(row.subscribed):
-                    if row.write_count < row.read_counts.get(v, 0):
-                        assert row.approx is not None
-                        site.push_update(v, seg, row.approx, MessageKind.UPDATE, ctx=ctx)
-                for v in sorted(row.interested):
-                    row.interested.discard(v)
-                    if row.write_count < row.read_counts.get(v, 0):
-                        row.subscribed.add(v)
-                        assert row.approx is not None
-                        site.push_update(v, seg, row.approx, MessageKind.INSERT, ctx=ctx)
+                # expand() sorts its pushes: emission order decides per-edge
+                # fault-roll sequence numbers, so hash order must not leak.
+                for child, kind in row.expand():
+                    assert row.approx is not None  # only a held copy expands
+                    site.push_update(child, seg, row.approx, kind, ctx=ctx)
             self.transport.drain()
         if root_span is not None:
             root_span.finish(self.sim.now)
         for node in self.topology.nodes:
-            for seg in self._segments:
-                self.sites[node].directory.row(seg).reset_counts()
+            self.sites[node].directory.reset_counts()
         if self.checkpoint_policy is not None and self.checkpoint_policy.every_phase:
             # After the count reset so the checkpoint captures the same
             # fresh-phase state an uncrashed site would start the next phase
@@ -1169,6 +1122,15 @@ class AsyncSwatAsr:
             self.checkpoint_all()
         if self._check:
             contracts.check_async_asr(self)
+
+    def _unsubscribe(self, node: str, seg: Segment, ctx: Optional[TraceContext]) -> None:
+        """Drop ``node``'s copy of ``seg`` and send its parent an UNSUBSCRIBE."""
+        self.sites[node].directory.row(seg).approx = None
+        parent = self.topology.parent(node)
+        assert parent is not None
+        self.transport.send(
+            node, parent, MessageKind.UNSUBSCRIBE, {"segment": seg}, trace=ctx
+        )
 
     # --------------------------------------------------------------- metrics
 

@@ -9,6 +9,7 @@ back toward the source.
 import numpy as np
 import pytest
 
+from repro import contracts
 from repro.core.queries import linear_query, point_query
 from repro.network.directory import Segment
 from repro.network.messages import MessageKind
@@ -146,7 +147,7 @@ class TestProtocolProperties:
                 asr.on_query(client, linear_query(16, precision=float(rng.uniform(5, 50))))
             if t % 15 == 0:
                 asr.on_phase_end()
-            assert asr.precision_is_monotone()
+            contracts.check_asr(asr)
 
     def test_approximation_count_bounded_by_sites_times_segments(self):
         asr = make_asr()

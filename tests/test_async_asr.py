@@ -19,13 +19,24 @@ from repro.simulate.events import Simulator
 
 N = 16
 
+#: Per-kind message counts of the seed-1, 2000-step schedule on the 30-client
+#: binary tree at N=64 (length-24 linear queries), recorded from the
+#: synchronous runtime; both runtimes must reproduce them exactly.
+BINARY30_COUNTS = {
+    "query": 2928,
+    "response": 2928,
+    "update": 1447,
+    "insert": 457,
+    "unsubscribe": 457,
+}
 
-def make_pair(topology=None):
+
+def make_pair(topology=None, window=N):
     topo = topology or Topology.paper_example()
-    return SwatAsr(topo, N), AsyncSwatAsr(topo, N, latency=0.0), topo
+    return SwatAsr(topo, window), AsyncSwatAsr(topo, window, latency=0.0), topo
 
 
-def random_schedule(seed=0, steps=250):
+def random_schedule(seed=0, steps=250, clients=4):
     rng = np.random.default_rng(seed)
     out = []
     for i in range(steps):
@@ -34,7 +45,7 @@ def random_schedule(seed=0, steps=250):
             out.append(("data", float(rng.uniform(0, 100)), None, None))
         elif r < 0.9:
             out.append(
-                ("query", None, int(rng.integers(0, 4)), float(rng.uniform(1, 30)))
+                ("query", None, int(rng.integers(0, clients)), float(rng.uniform(1, 30)))
             )
         else:
             out.append(("phase", None, None, None))
@@ -83,14 +94,22 @@ class TestTransport:
 
 
 class TestZeroLatencyEquivalence:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_message_counts_answers_and_state_match(self, seed):
-        sync, async_, topo = make_pair()
+    @pytest.mark.parametrize(
+        "seed, at_scale", [(0, False), (1, False), (2, False), (1, True)],
+        ids=["0", "1", "2", "binary30-N64-1"],
+    )
+    def test_message_counts_answers_and_state_match(self, seed, at_scale):
+        if at_scale:
+            sync, async_, topo = make_pair(Topology.complete_binary_tree(30), 64)
+            schedule, query_length = random_schedule(seed, steps=2000, clients=30), 24
+        else:
+            sync, async_, topo = make_pair()
+            schedule, query_length = random_schedule(seed), 6
         clients = topo.clients
-        for v in np.random.default_rng(99).uniform(0, 100, N):
+        for v in np.random.default_rng(99).uniform(0, 100, sync.window_size):
             sync.on_data(float(v))
             async_.on_data(float(v))
-        for kind, value, client_idx, precision in random_schedule(seed):
+        for kind, value, client_idx, precision in schedule:
             if kind == "data":
                 sync.on_data(value)
                 async_.on_data(value)
@@ -99,11 +118,13 @@ class TestZeroLatencyEquivalence:
                 async_.on_phase_end()
             else:
                 client = clients[client_idx % len(clients)]
-                q = linear_query(6, precision=precision)
+                q = linear_query(query_length, precision=precision)
                 a = sync.on_query(client, q)
                 b = async_.on_query(client, q)
                 assert a == pytest.approx(b)
         assert sync.stats.snapshot() == async_.stats.snapshot()
+        if at_scale:
+            assert sync.stats.snapshot() == BINARY30_COUNTS
         for node in topo.nodes:
             for seg in sync.sites[SOURCE].segments:
                 s_row = sync.sites[node].row(seg)

@@ -109,6 +109,95 @@ class TestDirectory:
         assert d.cached_count() == 1
 
 
+class TestRuleBook:
+    """Figure 8's per-row rules, shared by both SWAT-ASR runtimes."""
+
+    def test_write_rule_ignores_uncached_and_enclosed_ranges(self):
+        row = DirectoryRow(Segment(2, 3))
+        assert row.adopt((30.0, 40.0)) is False  # first copy: no write
+        assert row.approx == (30.0, 40.0) and row.write_count == 0
+        assert row.adopt((32.0, 38.0)) is False  # enclosed: silent refinement
+        assert row.approx == (32.0, 38.0) and row.write_count == 0
+
+    def test_write_rule_counts_a_non_enclosed_range(self):
+        row = DirectoryRow(Segment(2, 3), approx=(30.0, 40.0))
+        assert row.adopt((29.0, 40.0)) is True
+        assert row.approx == (29.0, 40.0) and row.write_count == 1
+
+    def test_reads_count_locally_or_per_child(self):
+        row = DirectoryRow(Segment(0, 1))
+        row.count_read(None)
+        row.count_read("C1")
+        assert row.local_reads == 1
+        assert row.read_counts == {"C1": 1} and row.interested == {"C1"}
+
+    def test_contraction_needs_cached_unsubscribed_and_reads_below_writes(self):
+        row = DirectoryRow(Segment(0, 1), approx=(0.0, 1.0), write_count=2, local_reads=1)
+        assert row.should_contract()
+        row.local_reads = 2  # reads caught up with writes
+        assert not row.should_contract()
+        row.local_reads = 1
+        row.subscribed.add("C2")  # not on the fringe
+        assert not row.should_contract()
+        row.subscribed.clear()
+        row.approx = None  # nothing to drop
+        assert not row.should_contract()
+
+    def test_expansion_without_a_copy_clears_interest(self):
+        row = DirectoryRow(Segment(0, 1), interested={"C1"}, read_counts={"C1": 5})
+        assert row.expand() == []
+        assert row.interested == set() and row.subscribed == set()
+
+    def test_expansion_pushes_refreshes_then_inserts_sorted(self):
+        row = DirectoryRow(
+            Segment(0, 1),
+            approx=(0.0, 1.0),
+            subscribed={"C3", "C1", "C5"},
+            interested={"C4", "C2", "C6"},
+            read_counts={"C1": 2, "C3": 2, "C5": 1, "C2": 2, "C4": 2, "C6": 0},
+            write_count=1,
+        )
+        assert row.expand() == [
+            ("C1", MessageKind.UPDATE),
+            ("C3", MessageKind.UPDATE),
+            ("C2", MessageKind.INSERT),
+            ("C4", MessageKind.INSERT),
+        ]
+        assert row.interested == set()
+        assert row.subscribed == {"C1", "C2", "C3", "C4", "C5"}
+
+    def test_query_test_counts_reads_only_when_satisfied(self):
+        d = Directory(16)
+        d.row(Segment(0, 1)).approx = (30.0, 40.0)
+        by_segment = {Segment(0, 1): [0, 1]}
+        weights = {0: 0.5, 1: 0.5}
+        assert d.satisfy(by_segment, weights, 8.0, "C3") is None  # offers 10 > 8
+        assert d.row(Segment(0, 1)).read_counts == {}
+        assert d.satisfy(by_segment, weights, 10.0, "C3") == {0: 35.0, 1: 35.0}
+        assert d.row(Segment(0, 1)).read_counts == {"C3": 1}
+        assert d.satisfy(by_segment, weights, 10.0, None) == {0: 35.0, 1: 35.0}
+        assert d.row(Segment(0, 1)).local_reads == 1
+
+    def test_query_test_uses_the_callers_width(self):
+        d = Directory(16)
+        d.row(Segment(0, 1)).approx = (30.0, 40.0)
+        distrusted = d.satisfy(
+            {Segment(0, 1): [0]}, {0: 1.0}, 100.0, None, width=lambda seg: float("inf")
+        )
+        assert distrusted is None and d.row(Segment(0, 1)).local_reads == 0
+
+    def test_uncached_rows_offer_infinite_width(self):
+        d = Directory(16)
+        assert d.satisfy({Segment(4, 7): [4]}, {4: 1.0}, 1e300, "C1") is None
+
+    def test_directory_reset_counts_clears_every_row(self):
+        d = Directory(16)
+        for row in d.rows.values():
+            row.write_count, row.local_reads = 3, 2
+        d.reset_counts()
+        assert all(r.write_count == 0 and r.local_reads == 0 for r in d.rows.values())
+
+
 class TestMessageStats:
     def test_counts_by_kind(self):
         s = MessageStats()

@@ -12,7 +12,9 @@ from repro import Swat, obs
 from repro.core.queries import exponential_query, linear_query, point_query
 from repro.network.messages import MessageKind, MessageStats
 from repro.network.topology import Topology
+from repro.obs.causal import CausalTracer
 from repro.replication.asr import SwatAsr
+from repro.replication.async_asr import AsyncSwatAsr
 from repro.replication.harness import ReplicationConfig, run_replication
 
 
@@ -170,3 +172,14 @@ class TestHarnessWarmupExclusion:
         assert not asr.use_summary_ranges
         asr.on_data(1.0)
         assert asr._summary.time == 1
+
+
+class TestAsyncAsrTracing:
+    def test_unknown_client_leaves_no_unfinished_span(self):
+        tracer = CausalTracer()
+        asr = AsyncSwatAsr(Topology.paper_example(), 16, causal=tracer)
+        for __ in range(16):
+            asr.on_data(35.0)
+        with pytest.raises(KeyError, match="unknown site 'nope'"):
+            asr.on_query("nope", point_query(0, precision=5.0))
+        assert [s.name for s in tracer.spans if not s.finished] == []

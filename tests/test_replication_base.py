@@ -1,9 +1,23 @@
-"""Tests for repro.replication.base: tolerance allocation helpers."""
+"""Tests for repro.replication.base: tolerance allocation helpers and the
+ingest gate every replication protocol shares."""
 
+import numpy as np
 import pytest
 
 from repro.core.queries import InnerProductQuery, linear_query, point_query
+from repro.network.topology import Topology
+from repro.replication.async_asr import AsyncSwatAsr
 from repro.replication.base import per_index_tolerances, uniform_tolerance
+from repro.replication.harness import make_protocol
+
+N = 16
+
+PROTOCOL_FACTORIES = {
+    "SWAT-ASR": lambda topo: make_protocol("SWAT-ASR", topo, N),
+    "SWAT-ASR (async)": lambda topo: AsyncSwatAsr(topo, N),
+    "DC": lambda topo: make_protocol("DC", topo, N),
+    "APS": lambda topo: make_protocol("APS", topo, N),
+}
 
 
 class TestUniformTolerance:
@@ -42,3 +56,22 @@ class TestPerIndexTolerances:
         # frozen dataclass allows 0 weight; the allocator must refuse it
         with pytest.raises(ValueError):
             per_index_tolerances(q)
+
+
+class TestNonFiniteArrivals:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", sorted(PROTOCOL_FACTORIES))
+    def test_rejected_before_any_state_changes(self, name, bad):
+        topo = Topology.paper_example()
+        protocol = PROTOCOL_FACTORIES[name](topo)
+        twin = PROTOCOL_FACTORIES[name](topo)  # sees only the finite values
+        for t, v in enumerate(np.random.default_rng(3).uniform(0, 100, N)):
+            protocol.on_data(float(v), now=float(t))
+            twin.on_data(float(v), now=float(t))
+        with pytest.raises(ValueError, match="finite"):
+            protocol.on_data(bad, now=float(N))
+        protocol.on_data(42.0, now=N + 1.0)
+        twin.on_data(42.0, now=N + 1.0)
+        q = point_query(0, precision=5.0)
+        assert protocol.on_query("C3", q, now=N + 2.0) == twin.on_query("C3", q, now=N + 2.0)
+        assert protocol.stats.snapshot() == twin.stats.snapshot()
