@@ -37,218 +37,26 @@ query's critical path, and — with ``--trace-out FILE`` — exports every span
 tree as Chrome trace-event JSON loadable in Perfetto (see
 ``docs/observability.md``, "Causal tracing").
 
-The heavy lifting lives in :mod:`repro.experiments`; this module only maps
-figure ids to drivers and formats the output.
+Every experiment id is declared once in :mod:`repro.experiments.registry`;
+this module only dispatches ids to it and formats the output.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import os
 import sys
-from typing import Callable, Dict, List, Optional
-
-import numpy as np
+from typing import List, Optional
 
 from . import obs
-from .experiments import (
-    fault_tolerance_demo,
-    fig10a_client_sweep,
-    fig10b_precision_sweep_multi,
-    fig4a_relative_error,
-    fig4c_levels_sweep,
-    fig5_error_comparison,
-    fig6a_maintenance_time,
-    fig6b_response_time,
-    fig9a_rate_sweep,
-    fig9c_precision_sweep,
-    format_table,
-    govern_frontier,
-    space_complexity,
-    trace_chaos_demo,
-    warm_recovery_demo,
-)
+from .experiments.registry import EXPERIMENTS
 from .obs.causal import CausalTracer, enable_causal, format_critical_path
 from .obs.chrome import write_chrome
 
 __all__ = ["main", "EXPERIMENTS"]
 
-
-def _fig4a(quick: bool) -> str:
-    out = fig4a_relative_error(n_points=2000 if quick else 10_000)
-    rel = out["relative"]
-    rows = [
-        {"metric": "queries", "value": rel.size},
-        {"metric": "mean relative error", "value": float(out["mean"])},
-        {"metric": "final cumulative error", "value": float(out["cumulative"][-1])},
-        {"metric": "p95 relative error", "value": float(np.percentile(rel, 95))},
-    ]
-    return format_table(rows, "Figure 4(a)/(b): fixed exponential query, N=256")
-
-
-def _fig4c(quick: bool) -> str:
-    rows = fig4c_levels_sweep(n_points=1500 if quick else 6000)
-    return format_table(rows, "Figure 4(c): avg abs error vs maintained levels, N=512")
-
-
-def _fig5(quick: bool) -> str:
-    every = 256 if quick else 48
-    parts = []
-    parts.append(format_table(
-        fig5_error_comparison(data="real", mode="fixed", eps_values=(0.1,), query_every=every),
-        "Figure 5(a)/(b): real, fixed mode, eps=0.1"))
-    parts.append(format_table(
-        fig5_error_comparison(data="synthetic", mode="fixed", eps_values=(0.001,),
-                              n_points=3000, query_every=every),
-        "Figure 5(c): synthetic, fixed mode, eps=0.001"))
-    parts.append(format_table(
-        fig5_error_comparison(data="real", mode="random",
-                              eps_values=(0.1, 0.01, 0.001), query_every=every),
-        "Figure 5(d)/(e): real, random mode, eps sweep"))
-    parts.append(format_table(
-        fig5_error_comparison(data="synthetic", mode="random", eps_values=(0.001,),
-                              n_points=3000, query_every=every),
-        "Figure 5(f): synthetic, random mode, eps=0.001"))
-    return "\n\n".join(parts)
-
-
-def _fig6a(quick: bool) -> str:
-    sizes = (20_000, 100_000) if quick else (100_000, 1_000_000, 4_000_000)
-    return format_table(fig6a_maintenance_time(sizes=sizes),
-                        "Figure 6(a): maintenance time (no queries)")
-
-
-def _fig6b(quick: bool) -> str:
-    out = fig6b_response_time(
-        n_queries=20 if quick else 100,
-        n_hist_queries=1 if quick else 3,
-        hist_method="search",
-    )
-    rows = [
-        {"technique": "SWAT", "seconds_per_query": out["swat_seconds"]},
-        {"technique": "Histogram", "seconds_per_query": out["hist_seconds"]},
-        {"technique": "speed-up", "seconds_per_query": out["speedup"]},
-    ]
-    return format_table(rows, "Figure 6(b): query response time, N=1024, B=30, eps=0.1")
-
-
-def _fig9a(quick: bool) -> str:
-    t = 200.0 if quick else 800.0
-    return format_table(fig9a_rate_sweep(data="real", measure_time=t),
-                        "Figure 9(a): messages vs T_d/T_q, real data")
-
-
-def _fig9b(quick: bool) -> str:
-    t = 200.0 if quick else 800.0
-    return format_table(fig9a_rate_sweep(data="synthetic", measure_time=t),
-                        "Figure 9(b): messages vs T_d/T_q, synthetic data")
-
-
-def _fig9c(quick: bool) -> str:
-    t = 200.0 if quick else 800.0
-    return format_table(fig9c_precision_sweep(measure_time=t),
-                        "Figure 9(c): messages vs precision, T_q=1, T_d=2")
-
-
-def _fig10a(quick: bool) -> str:
-    counts = (2, 6) if quick else (2, 6, 14, 30)
-    t = 120.0 if quick else 400.0
-    return format_table(fig10a_client_sweep(client_counts=counts, measure_time=t),
-                        "Figure 10(a): messages vs #clients, binary tree")
-
-
-def _fig10b(quick: bool) -> str:
-    t = 120.0 if quick else 400.0
-    return format_table(fig10b_precision_sweep_multi(measure_time=t),
-                        "Figure 10(b): messages vs precision, 6 clients")
-
-
-def _space(quick: bool) -> str:
-    return format_table(space_complexity(), "Section 5.1: space complexity")
-
-
-def _chaos(quick: bool) -> str:
-    t = 80.0 if quick else 200.0
-    rates = (0.0, 0.1, 0.2) if quick else (0.0, 0.05, 0.1, 0.2)
-    return format_table(
-        fault_tolerance_demo(drop_rates=rates, measure_time=t),
-        "Robustness: async SWAT-ASR under drop/duplication/crash faults",
-    )
-
-
-def _recovery(quick: bool) -> str:
-    n = 110 if quick else 140
-    return format_table(
-        warm_recovery_demo(n_arrivals=n),
-        "Recovery: degraded answers after a crash, warm restore vs cold resync",
-    )
-
-
-def _render_govern(report: dict) -> str:
-    """The ``repro govern`` output: frontier table plus the safety footer."""
-    rows = [
-        {
-            "budget_bytes": r["budget"],
-            "frac": r["frac"],
-            "peak_bytes": r["peak"],
-            "budget_ok": r["budget_ok"],
-            "mean_k": r["mean_k"],
-            "mean_min_lvl": r["mean_min_level"],
-            "p95_rel_err": r["p95_rel_err"],
-            "err_ok": r["err_ok"],
-            "reconfigs": r["reconfigs"],
-            "ticks_shed": r["ticks_shed"],
-        }
-        for r in report["rows"]
-    ]
-    table = format_table(
-        rows,
-        f"Capacity frontier: {report['full_nbytes']} bytes ungoverned, "
-        f"{report['ticks_ingested']} ticks ingested "
-        f"({report['ticks_shed']} shed), p95 error target "
-        f"{report['error_p95_target']:g}",
-    )
-    footer = (
-        "disabled-governor run bit-identical to no governor: "
-        f"{report['fingerprint_match']} "
-        f"(digest {report['baseline_digest']})"
-    )
-    return f"{table}\n{footer}"
-
-
-def _govern(quick: bool) -> str:
-    return _render_govern(govern_frontier(quick=quick))
-
-
-def _tracedemo(quick: bool) -> str:
-    from .obs import causal as causal_mod
-
-    n = 8 if quick else 24
-    rows = trace_chaos_demo(n_queries=n, tracer=causal_mod.current_causal())
-    return format_table(
-        rows,
-        "Causal tracing: per-query span trees under drop/duplication/crash faults",
-    )
-
-
-EXPERIMENTS: Dict[str, Callable[[bool], str]] = {
-    "fig4a": _fig4a,
-    "fig4c": _fig4c,
-    "fig5": _fig5,
-    "fig6a": _fig6a,
-    "fig6b": _fig6b,
-    "fig9a": _fig9a,
-    "fig9b": _fig9b,
-    "fig9c": _fig9c,
-    "fig10a": _fig10a,
-    "fig10b": _fig10b,
-    "space": _space,
-    "chaos": _chaos,
-    "recovery": _recovery,
-    "tracedemo": _tracedemo,
-    "govern": _govern,
-}
 
 #: Counter-name prefixes that describe injected faults and the protocol's
 #: reaction to them; ``repro stats`` surfaces these in their own section.
@@ -419,11 +227,17 @@ def _install_verbose_logging(verbosity: int) -> None:
     logger.setLevel(logging.DEBUG if verbosity > 1 else logging.INFO)
 
 
-def _dump_metrics(path: Optional[str]) -> None:
+def _out_path_problem(path: Optional[str]) -> Optional[str]:
+    """Why an output file at ``path`` could not be written after the run, or
+    None (also when ``path`` is None: the flag was not given)."""
     if path is None:
-        return
-    obs.write_json(obs.get_registry(), path)
-    print(f"metrics written to {path}", file=sys.stderr)
+        return None
+    if not path:
+        return "empty path"
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        return f"directory {parent!r} does not exist"
+    return None
 
 
 def _render_trace_summary(tracer: CausalTracer) -> str:
@@ -448,18 +262,29 @@ def _render_trace_summary(tracer: CausalTracer) -> str:
     return "\n".join(lines)
 
 
-def _dump_trace(
-    path: Optional[str], tracer: Optional[CausalTracer], experiment: str
+def _write_outputs(
+    args: argparse.Namespace,
+    tracer: Optional[CausalTracer],
+    experiment: str,
+    report: Optional[dict] = None,
 ) -> None:
-    if path is None or tracer is None:
-        return
-    write_chrome(tracer, path, metadata={"experiment": experiment})
-    print(
-        f"chrome trace written to {path} "
-        f"({len(tracer.trace_ids())} traces, {len(tracer)} spans); "
-        "open with https://ui.perfetto.dev or chrome://tracing",
-        file=sys.stderr,
-    )
+    """After a run: write each of ``--metrics-out``, ``--trace-out`` and
+    ``--report-out`` that was given (their paths were checked before it)."""
+    if args.metrics_out is not None:
+        obs.write_json(obs.get_registry(), args.metrics_out)
+        print(f"metrics written to {args.metrics_out}", file=sys.stderr)
+    if args.trace_out is not None and tracer is not None:
+        write_chrome(tracer, args.trace_out, metadata={"experiment": experiment})
+        print(
+            f"chrome trace written to {args.trace_out} "
+            f"({len(tracer.trace_ids())} traces, {len(tracer)} spans); "
+            "open with https://ui.perfetto.dev or chrome://tracing",
+            file=sys.stderr,
+        )
+    if args.report_out is not None and report is not None:
+        with open(args.report_out, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+        print(f"{experiment} report written to {args.report_out}", file=sys.stderr)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -535,22 +360,15 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.verbose:
         _install_verbose_logging(args.verbose)
-    if args.metrics_out is not None:
-        # Fail before the (possibly long) run, not after it.
-        if not args.metrics_out:
-            print("--metrics-out: empty path", file=sys.stderr)
-            return 2
-        parent = os.path.dirname(args.metrics_out) or "."
-        if not os.path.isdir(parent):
-            print(f"--metrics-out: directory {parent!r} does not exist", file=sys.stderr)
-            return 2
-    if args.trace_out is not None:
-        if not args.trace_out:
-            print("--trace-out: empty path", file=sys.stderr)
-            return 2
-        parent = os.path.dirname(args.trace_out) or "."
-        if not os.path.isdir(parent):
-            print(f"--trace-out: directory {parent!r} does not exist", file=sys.stderr)
+    # Fail before the (possibly long) run, not after it.
+    for flag, path in (
+        ("--metrics-out", args.metrics_out),
+        ("--trace-out", args.trace_out),
+        ("--report-out", args.report_out),
+    ):
+        problem = _out_path_problem(path)
+        if problem is not None:
+            print(f"{flag}: {problem}", file=sys.stderr)
             return 2
     if args.metrics_out is not None or args.experiment == "stats":
         obs.enable()
@@ -591,18 +409,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return lint_main(args.target or ["src"])
 
     if args.experiment == "shake":
-        import json
-
         from .simulate.shake import format_shake_report, run_shake
 
-        if args.report_out is not None:
-            parent = os.path.dirname(args.report_out) or "."
-            if not os.path.isdir(parent):
-                print(
-                    f"--report-out: directory {parent!r} does not exist",
-                    file=sys.stderr,
-                )
-                return 2
         if args.permutations < 1:
             print("--permutations must be >= 1", file=sys.stderr)
             return 2
@@ -610,71 +418,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             seed=args.seed, permutations=args.permutations, quick=args.quick
         )
         print(format_shake_report(report))
-        if args.report_out is not None:
-            with open(args.report_out, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-            print(f"shake report written to {args.report_out}", file=sys.stderr)
+        _write_outputs(args, tracer, "shake", report)
         return 0 if report["deterministic"] else 1
-
-    if args.experiment == "stats":
-        if len(args.target) != 1:
-            print("usage: repro stats <experiment> (see 'list')", file=sys.stderr)
-            return 2
-        target = args.target[0]
-        if target not in EXPERIMENTS:
-            print(f"unknown experiment {target!r}; try 'list'", file=sys.stderr)
-            return 2
-        print(EXPERIMENTS[target](args.quick))
-        print()
-        snapshot = obs.metrics_snapshot()
-        print(obs.render_text(snapshot, title=f"metrics: {target}"))
-        fault_section = _render_fault_section(snapshot)
-        if fault_section:
-            print()
-            print(fault_section)
-        _dump_metrics(args.metrics_out)
-        _dump_trace(args.trace_out, tracer, target)
-        return 0
-
-    if args.experiment == "trace":
-        if len(args.target) != 1:
-            print("usage: repro trace <experiment> (see 'list')", file=sys.stderr)
-            return 2
-        target = args.target[0]
-        if target not in EXPERIMENTS:
-            print(f"unknown experiment {target!r}; try 'list'", file=sys.stderr)
-            return 2
-        assert tracer is not None
-        print(EXPERIMENTS[target](args.quick))
-        print()
-        print(_render_trace_summary(tracer))
-        _dump_metrics(args.metrics_out)
-        _dump_trace(args.trace_out, tracer, target)
-        return 0
-
-    if args.experiment == "govern":
-        import json
-
-        if args.report_out is not None:
-            parent = os.path.dirname(args.report_out) or "."
-            if not os.path.isdir(parent):
-                print(
-                    f"--report-out: directory {parent!r} does not exist",
-                    file=sys.stderr,
-                )
-                return 2
-        report = govern_frontier(quick=args.quick)
-        print(_render_govern(report))
-        _dump_metrics(args.metrics_out)
-        _dump_trace(args.trace_out, tracer, "govern")
-        if args.report_out is not None:
-            with open(args.report_out, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-            print(f"govern report written to {args.report_out}", file=sys.stderr)
-        ok = report["fingerprint_match"] and all(
-            r["budget_ok"] for r in report["rows"]
-        )
-        return 0 if ok else 1
 
     if args.experiment == "report":
         from .experiments.report import generate_report
@@ -686,8 +431,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"report written to {args.output}")
         else:
             print(text)
-        _dump_metrics(args.metrics_out)
-        _dump_trace(args.trace_out, tracer, "report")
+        _write_outputs(args, tracer, "report")
         return 0
 
     if args.experiment == "list":
@@ -698,19 +442,37 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("(prefix any id with 'stats' for a post-run metrics report)")
         return 0
     if args.experiment == "all":
-        for name, fn in EXPERIMENTS.items():
-            print(fn(args.quick))
+        for experiment in EXPERIMENTS.values():
+            print(experiment.execute(args.quick).render())
             print()
-        _dump_metrics(args.metrics_out)
-        _dump_trace(args.trace_out, tracer, "all")
+        _write_outputs(args, tracer, "all")
         return 0
-    if args.experiment not in EXPERIMENTS:
-        print(f"unknown experiment {args.experiment!r}; try 'list'", file=sys.stderr)
+
+    name = args.experiment
+    if name in ("stats", "trace"):
+        if len(args.target) != 1:
+            print(f"usage: repro {name} <experiment> (see 'list')", file=sys.stderr)
+            return 2
+        name = args.target[0]
+    if name not in EXPERIMENTS:
+        print(f"unknown experiment {name!r}; try 'list'", file=sys.stderr)
         return 2
-    print(EXPERIMENTS[args.experiment](args.quick))
-    _dump_metrics(args.metrics_out)
-    _dump_trace(args.trace_out, tracer, args.experiment)
-    return 0
+    outcome = EXPERIMENTS[name].execute(args.quick)
+    print(outcome.render())
+    if args.experiment == "stats":
+        print()
+        snapshot = obs.metrics_snapshot()
+        print(obs.render_text(snapshot, title=f"metrics: {name}"))
+        fault_section = _render_fault_section(snapshot)
+        if fault_section:
+            print()
+            print(fault_section)
+    elif args.experiment == "trace":
+        assert tracer is not None
+        print()
+        print(_render_trace_summary(tracer))
+    _write_outputs(args, tracer, name, outcome.report)
+    return 0 if outcome.ok else 1
 
 
 if __name__ == "__main__":

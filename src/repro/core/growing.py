@@ -18,6 +18,7 @@ import numpy as np
 
 from ..wavelets.haar import combine_haar, leaf_coeffs
 from .coverage import build_cover
+from .errors import require_finite
 from .node import Role, SwatNode
 from .queries import InnerProductQuery
 
@@ -80,6 +81,7 @@ class GrowingSwat:
 
     def update(self, value: float) -> None:
         """Ingest one value; grows a level whenever the stream doubles."""
+        require_finite(value)
         self._time += 1
         t = self._time
         self._last_two.append(float(value))

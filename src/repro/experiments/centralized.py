@@ -191,25 +191,12 @@ def fig5_error_comparison(
         for eps in eps_values:
             hist = HistogramSummary(window_size, n_buckets=n_buckets, eps=eps)
             hist_series = run_error_experiment(
-                stream, window_size, _HistAdapter(hist), workload_factory(),
+                stream, window_size, hist, workload_factory(),
                 warmup=warmup, query_every=query_every,
             )
             row[f"hist_eps_{eps}"] = hist_series.mean
         rows.append(row)
     return rows
-
-
-class _HistAdapter:
-    """Adapter giving :class:`HistogramSummary` the summarizer protocol."""
-
-    def __init__(self, hist: HistogramSummary) -> None:
-        self.hist = hist
-
-    def update(self, value: float) -> None:
-        self.hist.update(value)
-
-    def answer(self, query: InnerProductQuery) -> float:
-        return self.hist.answer(query)
 
 
 # --------------------------------------------------------------------- Fig 6

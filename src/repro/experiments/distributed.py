@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from typing import Dict, List, Optional, Sequence, Tuple, cast
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, cast
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from ..data.workload import RandomWorkload
 from ..network.faults import CrashWindow, FaultPlan
 from ..network.topology import Topology
 from ..obs.causal import CausalTracer
-from ..persist import CheckpointPolicy, CheckpointStore
+from ..persist import CheckpointStore
 from ..replication.async_asr import AsyncSwatAsr
 from ..replication.harness import (
     PROTOCOLS,
@@ -29,6 +29,7 @@ from ..replication.harness import (
     make_protocol,
     run_replication,
 )
+from ..simulate.events import Simulator
 
 __all__ = [
     "fig9a_rate_sweep",
@@ -38,6 +39,7 @@ __all__ = [
     "space_complexity",
     "replication_dataset",
     "fault_tolerance_demo",
+    "run_chaos_scenario",
     "trace_chaos_demo",
     "warm_recovery_demo",
 ]
@@ -59,20 +61,34 @@ def replication_dataset(name: str, seed: int = 0) -> Tuple[np.ndarray, Tuple[flo
 MAX_QUERY_LENGTH = 8
 
 
-def _run_point(
-    topology: Topology,
-    stream: np.ndarray,
-    value_range: Tuple[float, float],
-    config: ReplicationConfig,
-    protocols: Sequence[str] = PROTOCOLS,
-) -> dict:
-    row = {}
-    for name in protocols:
-        protocol = make_protocol(name, topology, config.window_size, value_range)
-        result = run_replication(protocol, stream, config)
-        row[name] = result.total_messages
-        row[f"{name}_err"] = result.mean_abs_error
-    return row
+def _sweep(
+    data: str,
+    seed: int,
+    axis: str,
+    points: Sequence[Any],
+    point: Callable[[Any], Tuple[Topology, Dict[str, Any]]],
+    **config: Any,
+) -> List[dict]:
+    """The Figure 9/10 sweep loop: one row per x-axis point.
+
+    ``point(x)`` returns the topology and the :class:`ReplicationConfig`
+    fields that vary with ``x``; ``config`` holds the fields every point
+    shares.  Each row is ``{axis: x}`` followed by every protocol's message
+    total and mean absolute error.
+    """
+    stream, value_range = replication_dataset(data, seed=seed)
+    rows = []
+    for x in points:
+        topology, varying = point(x)
+        run = ReplicationConfig(value_range=value_range, seed=seed, **config, **varying)
+        row = {axis: x}
+        for name in PROTOCOLS:
+            protocol = make_protocol(name, topology, run.window_size, value_range)
+            result = run_replication(protocol, stream, run)
+            row[name] = result.total_messages
+            row[f"{name}_err"] = result.mean_abs_error
+        rows.append(row)
+    return rows
 
 
 def fig9a_rate_sweep(
@@ -90,24 +106,13 @@ def fig9a_rate_sweep(
     (caching should lose), large ratios mean frequent reads (caching should
     win).  ``data="synthetic"`` gives Figure 9(b).
     """
-    stream, value_range = replication_dataset(data, seed=seed)
     topo = Topology.single_client()
-    rows = []
-    for ratio in ratios:
-        config = ReplicationConfig(
-            window_size=window_size,
-            data_period=ratio,
-            query_period=1.0,
-            measure_time=measure_time,
-            precision=precision,
-            max_query_length=max_query_length,
-            value_range=value_range,
-            seed=seed,
-        )
-        row = {"ratio_Td_over_Tq": ratio}
-        row.update(_run_point(topo, stream, value_range, config))
-        rows.append(row)
-    return rows
+    return _sweep(
+        data, seed, "ratio_Td_over_Tq", ratios,
+        lambda ratio: (topo, {"data_period": ratio}),
+        window_size=window_size, query_period=1.0, measure_time=measure_time,
+        precision=precision, max_query_length=max_query_length,
+    )
 
 
 def fig9c_precision_sweep(
@@ -123,24 +128,13 @@ def fig9c_precision_sweep(
     Smaller ``delta`` = stricter precision; every protocol sends more
     messages as ``delta`` shrinks, SWAT-ASR the fewest.
     """
-    stream, value_range = replication_dataset(data, seed=seed)
     topo = Topology.single_client()
-    rows = []
-    for delta in precisions:
-        config = ReplicationConfig(
-            window_size=window_size,
-            data_period=2.0,
-            query_period=1.0,
-            measure_time=measure_time,
-            precision=(delta, delta),
-            max_query_length=max_query_length,
-            value_range=value_range,
-            seed=seed,
-        )
-        row = {"precision_delta": delta}
-        row.update(_run_point(topo, stream, value_range, config))
-        rows.append(row)
-    return rows
+    return _sweep(
+        data, seed, "precision_delta", precisions,
+        lambda delta: (topo, {"precision": (delta, delta)}),
+        window_size=window_size, data_period=2.0, query_period=1.0,
+        measure_time=measure_time, max_query_length=max_query_length,
+    )
 
 
 def fig10a_client_sweep(
@@ -153,24 +147,13 @@ def fig10a_client_sweep(
     seed: int = 0,
 ) -> List[dict]:
     """Figure 10(a): complete binary tree, message cost vs number of clients."""
-    stream, value_range = replication_dataset(data, seed=seed)
-    rows = []
-    for n_clients in client_counts:
-        topo = Topology.complete_binary_tree(n_clients)
-        config = ReplicationConfig(
-            window_size=window_size,
-            data_period=2.0,
-            query_period=1.0,
-            measure_time=measure_time,
-            precision=precision,
-            max_query_length=max_query_length,
-            value_range=value_range,
-            seed=seed,
-        )
-        row = {"clients": n_clients}
-        row.update(_run_point(topo, stream, value_range, config))
-        rows.append(row)
-    return rows
+    return _sweep(
+        data, seed, "clients", client_counts,
+        lambda n: (Topology.complete_binary_tree(n), {}),
+        window_size=window_size, data_period=2.0, query_period=1.0,
+        measure_time=measure_time, precision=precision,
+        max_query_length=max_query_length,
+    )
 
 
 def fig10b_precision_sweep_multi(
@@ -183,24 +166,37 @@ def fig10b_precision_sweep_multi(
     seed: int = 0,
 ) -> List[dict]:
     """Figure 10(b): 6-client binary tree on synthetic data, precision sweep."""
-    stream, value_range = replication_dataset(data, seed=seed)
     topo = Topology.complete_binary_tree(n_clients)
-    rows = []
-    for delta in precisions:
-        config = ReplicationConfig(
-            window_size=window_size,
-            data_period=2.0,
-            query_period=1.0,
-            measure_time=measure_time,
-            precision=(delta, delta),
-            max_query_length=max_query_length,
-            value_range=value_range,
-            seed=seed,
-        )
-        row = {"precision_delta": delta}
-        row.update(_run_point(topo, stream, value_range, config))
-        rows.append(row)
-    return rows
+    return _sweep(
+        data, seed, "precision_delta", precisions,
+        lambda delta: (topo, {"precision": (delta, delta)}),
+        window_size=window_size, data_period=2.0, query_period=1.0,
+        measure_time=measure_time, max_query_length=max_query_length,
+    )
+
+
+def _interior_crash_asr(
+    n_clients: int,
+    window_size: int,
+    crash: Tuple[float, float],
+    *,
+    seed: int,
+    retry_timeout: float,
+    latency: float = 0.0,
+    sim: Optional[Simulator] = None,
+    causal: Optional[CausalTracer] = None,
+    **faults: float,
+) -> AsyncSwatAsr:
+    """Async SWAT-ASR on a complete binary tree whose first interior site is
+    down over ``crash``; ``faults`` (drop, duplicate, jitter rates) complete
+    the seeded :class:`~repro.network.faults.FaultPlan`."""
+    topo = Topology.complete_binary_tree(n_clients)
+    interior = next(n for n in topo.nodes if n != topo.root and topo.children(n))
+    plan = FaultPlan(seed=seed + 1, crashes=(CrashWindow(interior, *crash),), **faults)
+    return AsyncSwatAsr(
+        topo, window_size, latency=latency, sim=sim, faults=plan,
+        retry_timeout=retry_timeout, max_retries=2, causal=causal,
+    )
 
 
 def fault_tolerance_demo(
@@ -226,26 +222,12 @@ def fault_tolerance_demo(
     *cost*: retries, and eventually degraded serves.
     """
     stream, value_range = replication_dataset("synthetic", seed=seed)
+    crash_start = window_size * 2.0 + warmup_time + 0.4 * measure_time
     rows = []
     for rate in drop_rates:
-        topo = Topology.complete_binary_tree(n_clients)
-        interior = next(
-            n for n in topo.nodes if n != topo.root and topo.children(n)
-        )
-        fill_time = window_size * 2.0
-        crash_start = fill_time + warmup_time + 0.4 * measure_time
-        plan = FaultPlan(
-            seed=seed + 1,
-            drop_rate=rate,
-            duplicate_rate=duplicate_rate,
-            crashes=(CrashWindow(interior, crash_start, crash_start + 0.2 * measure_time),),
-        )
-        protocol = AsyncSwatAsr(
-            topo,
-            window_size,
-            faults=plan,
-            retry_timeout=0.05,
-            max_retries=2,
+        protocol = _interior_crash_asr(
+            n_clients, window_size, (crash_start, crash_start + 0.2 * measure_time),
+            seed=seed, retry_timeout=0.05, drop_rate=rate, duplicate_rate=duplicate_rate,
         )
         config = ReplicationConfig(
             window_size=window_size,
@@ -273,6 +255,58 @@ def fault_tolerance_demo(
     return rows
 
 
+def run_chaos_scenario(
+    *,
+    n_clients: int,
+    window_size: int,
+    n_queries: int,
+    drop_rate: float,
+    seed: int = 0,
+    latency: float = 0.05,
+    duplicate_rate: float = 0.05,
+    jitter: float = 0.02,
+    query_period: float = 1.0,
+    causal: Optional[CausalTracer] = None,
+    sim: Optional[Simulator] = None,
+) -> AsyncSwatAsr:
+    """The chaos scenario ``repro tracedemo`` and ``repro shake`` replay.
+
+    Async SWAT-ASR on a complete binary tree under a seeded fault plan:
+    ``drop_rate`` drops, ``duplicate_rate`` duplicates, ``jitter``, and one
+    interior-site crash spanning the middle third of the query phase.  The
+    window fills from a seeded uniform stream, then each of ``n_queries``
+    query periods delivers one arrival and one random query (round-robin
+    over the clients), and a final phase end closes the run.  Returns the
+    protocol, so callers read outcomes, traces or fingerprints off it;
+    ``sim`` lets the caller supply the simulator (e.g. a permuted tie-break).
+    """
+    fill = float(window_size)
+    run_span = n_queries * query_period
+    protocol = _interior_crash_asr(
+        n_clients, window_size, (fill + run_span / 3.0, fill + 2.0 * run_span / 3.0),
+        seed=seed, retry_timeout=0.1, drop_rate=drop_rate,
+        duplicate_rate=duplicate_rate, jitter=jitter, latency=latency,
+        sim=sim, causal=causal,
+    )
+    stream = uniform_stream(window_size + n_queries, seed=seed)
+    for i in range(window_size):
+        protocol.on_data(float(stream[i]), now=float(i))
+    workload = RandomWorkload(
+        window_size,
+        max_length=MAX_QUERY_LENGTH,
+        precision_low=2.0,
+        precision_high=10.0,
+        seed=seed,
+    )
+    clients = protocol.topology.clients
+    for q in range(n_queries):
+        at = fill + q * query_period
+        protocol.on_data(float(stream[window_size + q]), now=at)
+        protocol.on_query(clients[q % len(clients)], workload.next(), now=at)
+    protocol.on_phase_end()
+    return protocol
+
+
 def trace_chaos_demo(
     n_clients: int = 6,
     window_size: int = 32,
@@ -287,55 +321,28 @@ def trace_chaos_demo(
 ) -> List[dict]:
     """Quick chaos scenario with per-query causal traces.
 
-    Runs async SWAT-ASR on a binary tree under a seeded fault plan (drops,
-    duplicates, jitter, and one interior-site crash spanning the middle
-    third of the run) and returns one row per answered query: its trace id,
-    measured latency, hop count, degraded flag, and the span name that
-    dominated its critical path.  The critical-path sum equals the measured
-    latency for every query — the acceptance property of the causal layer.
+    Runs :func:`run_chaos_scenario` and returns one row per answered query:
+    its trace id, measured latency, hop count, degraded flag, and the span
+    name that dominated its critical path.  The critical-path sum equals the
+    measured latency for every query — the acceptance property of the causal
+    layer.
 
     Pass ``tracer`` to keep the span trees (e.g. for Chrome export); a
     fresh private tracer is used otherwise.
     """
     causal = tracer if tracer is not None else CausalTracer(seed=seed)
-    topo = Topology.complete_binary_tree(n_clients)
-    interior = next(n for n in topo.nodes if n != topo.root and topo.children(n))
-    fill = float(window_size)
-    run_span = n_queries * query_period
-    plan = FaultPlan(
-        seed=seed + 1,
+    protocol = run_chaos_scenario(
+        n_clients=n_clients,
+        window_size=window_size,
+        n_queries=n_queries,
         drop_rate=drop_rate,
+        seed=seed,
+        latency=latency,
         duplicate_rate=duplicate_rate,
         jitter=jitter,
-        crashes=(
-            CrashWindow(interior, fill + run_span / 3.0, fill + 2.0 * run_span / 3.0),
-        ),
-    )
-    protocol = AsyncSwatAsr(
-        topo,
-        window_size,
-        latency=latency,
-        faults=plan,
-        retry_timeout=0.1,
-        max_retries=2,
+        query_period=query_period,
         causal=causal,
     )
-    stream, __ = replication_dataset("synthetic", seed=seed)
-    for i in range(window_size):
-        protocol.on_data(float(stream[i]), now=float(i))
-    workload = RandomWorkload(
-        window_size,
-        max_length=MAX_QUERY_LENGTH,
-        precision_low=2.0,
-        precision_high=10.0,
-        seed=seed,
-    )
-    clients = topo.clients
-    for q in range(n_queries):
-        at = fill + q * query_period
-        protocol.on_data(float(stream[window_size + q]), now=at)
-        protocol.on_query(clients[q % len(clients)], workload.next(), now=at)
-    protocol.on_phase_end()
     rows = []
     for outcome in protocol.query_outcomes:
         assert outcome.trace_id is not None  # causal tracing is on here
@@ -408,12 +415,7 @@ def warm_recovery_demo(
             torn_write_rate=1.0 if torn else 0.0,
             crashes=(CrashWindow(leaf, crash_start, crash_end),),
         )
-        kwargs: Dict[str, object] = {}
-        if store is not None:
-            kwargs = {
-                "checkpoints": store,
-                "checkpoint_policy": CheckpointPolicy(),
-            }
+        # A store brings the default every-phase CheckpointPolicy.
         protocol = AsyncSwatAsr(
             topo,
             window_size,
@@ -421,7 +423,7 @@ def warm_recovery_demo(
             faults=plan,
             retry_timeout=0.2,
             max_retries=0,
-            **kwargs,  # type: ignore[arg-type]
+            checkpoints=store,
         )
         t = 0.0
         for i, value in enumerate(stream):

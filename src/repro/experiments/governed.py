@@ -143,7 +143,6 @@ def govern_frontier(
     n_blocks: int = 24,
     seed: int = 0,
     error_p95_target: float = 0.25,
-    quick: bool = False,
 ) -> Dict[str, Any]:
     """Sweep byte budgets over a seeded governed ensemble.
 
@@ -155,8 +154,6 @@ def govern_frontier(
     number of governor reconfigurations, and deterministically shed ticks.
     ``fingerprint_match`` is the disabled-governor bit-identity check.
     """
-    if quick:
-        n_blocks = min(n_blocks, 12)
     # Offer slightly more than the queue accepts so every run sheds the
     # same deterministic overload slice (drop-newest per offered block).
     queue_capacity = window_size + 8

@@ -1,9 +1,10 @@
-"""One-shot reproduction report: run every experiment, emit markdown.
+"""One-shot reproduction report: run every registry experiment, emit markdown.
 
-``python -m repro report [--quick] [-o report.md]`` produces a
-paper-vs-measured markdown document in the style of EXPERIMENTS.md but with
-freshly measured numbers, so a user can validate the reproduction on their
-own machine in one command.
+``python -m repro report [--quick] [-o report.md]`` runs every experiment of
+:data:`~repro.experiments.registry.EXPERIMENTS` with the parameters
+``repro <id>`` uses and renders one ``##`` section per table, in the style
+of EXPERIMENTS.md but with freshly measured numbers, so a user can validate
+the reproduction on their own machine in one command.
 """
 
 from __future__ import annotations
@@ -12,27 +13,14 @@ import datetime
 import platform
 from typing import Callable, List, Optional
 
-import numpy as np
-
-from .centralized import (
-    fig4a_relative_error,
-    fig4c_levels_sweep,
-    fig5_error_comparison,
-    fig6a_maintenance_time,
-    fig6b_response_time,
-)
-from .distributed import (
-    fig10a_client_sweep,
-    fig10b_precision_sweep_multi,
-    fig9a_rate_sweep,
-    fig9c_precision_sweep,
-    space_complexity,
-)
+from .centralized import _fmt
+from .registry import EXPERIMENTS
 
 __all__ = ["generate_report"]
 
 
 def _md_table(rows: List[dict]) -> str:
+    """``rows`` as a markdown table, each cell as ``format_table`` prints it."""
     if not rows:
         return "*(no rows)*"
     cols = list(rows[0])
@@ -43,99 +31,27 @@ def _md_table(rows: List[dict]) -> str:
     return "\n".join(out)
 
 
-def _fmt(v: object) -> str:
-    if isinstance(v, (float, np.floating)):
-        return f"{v:.5g}"
-    return str(v)
-
-
 def generate_report(
     quick: bool = True, progress: Optional[Callable[[str], None]] = None
 ) -> str:
-    """Run the full experiment suite and return a markdown report.
+    """Run every registry experiment and return a markdown report.
 
     Parameters
     ----------
     quick:
-        Scaled-down runs (~10x faster); pass False for full paper scale.
+        Each experiment's ``--quick`` parameters; False for full paper scale.
     progress:
-        Optional callable receiving one status line per section.
+        Optional callable receiving one status line per experiment.
     """
     say = progress or (lambda msg: None)
-    every = 256 if quick else 48
-    measure = 200.0 if quick else 800.0
     sections: List[str] = []
-
-    say("figure 4 ...")
-    f4 = fig4a_relative_error(n_points=2000 if quick else 10_000)
-    sections.append(
-        "## Figure 4(a)/(b) — fixed exponential query, N=256\n\n"
-        + _md_table(
-            [
-                {"metric": "mean relative error", "value": float(f4["mean"])},
-                {"metric": "final cumulative error", "value": float(f4["cumulative"][-1])},
-                {"metric": "paper", "value": "cumulative ~0.01"},
-            ]
-        )
-    )
-    rows = fig4c_levels_sweep(n_points=1500 if quick else 6000)
-    sections.append("## Figure 4(c) — error vs maintained levels, N=512\n\n" + _md_table(rows))
-
-    say("figure 5 (the slow one) ...")
-    f5 = []
-    f5 += fig5_error_comparison(data="real", mode="fixed", eps_values=(0.1,),
-                                query_length=16, query_every=every)
-    f5 += fig5_error_comparison(data="synthetic", mode="fixed", eps_values=(0.001,),
-                                query_length=16, n_points=3000, query_every=every)
-    f5 += fig5_error_comparison(data="real", mode="random", eps_values=(0.1,),
-                                query_every=every)
-    f5 += fig5_error_comparison(data="synthetic", mode="random", eps_values=(0.001,),
-                                n_points=3000, query_every=every)
-    sections.append("## Figure 5 — SWAT vs Histogram (N=1024, B=30)\n\n" + _md_table(f5))
-
-    say("figure 6 ...")
-    f6a = fig6a_maintenance_time(sizes=(20_000, 100_000) if quick else (100_000, 1_000_000))
-    sections.append("## Figure 6(a) — maintenance time\n\n" + _md_table(f6a))
-    f6b = fig6b_response_time(
-        n_queries=20 if quick else 100, n_hist_queries=1 if quick else 3,
-        hist_method="search",
-    )
-    sections.append(
-        "## Figure 6(b) — query response time (paper: 4 orders of magnitude)\n\n"
-        + _md_table(
-            [
-                {"technique": "SWAT", "seconds": f6b["swat_seconds"]},
-                {"technique": "Histogram", "seconds": f6b["hist_seconds"]},
-                {"technique": "speed-up", "seconds": f6b["speedup"]},
-            ]
-        )
-    )
-
-    say("figure 9 ...")
-    sections.append(
-        "## Figure 9(a) — messages vs T_d/T_q, real data\n\n"
-        + _md_table(fig9a_rate_sweep(data="real", measure_time=measure))
-    )
-    sections.append(
-        "## Figure 9(c) — messages vs precision (paper: ASR ~4-5x cheaper)\n\n"
-        + _md_table(fig9c_precision_sweep(measure_time=measure))
-    )
-
-    say("figure 10 ...")
-    sections.append(
-        "## Figure 10(a) — messages vs #clients\n\n"
-        + _md_table(
-            fig10a_client_sweep(
-                client_counts=(2, 6) if quick else (2, 6, 14, 30),
-                measure_time=measure / 2,
-            )
-        )
-    )
-    sections.append(
-        "## Figure 10(b) — messages vs precision, 6 clients\n\n"
-        + _md_table(fig10b_precision_sweep_multi(measure_time=measure / 2))
-    )
-    sections.append("## Section 5.1 — space\n\n" + _md_table(space_complexity()))
+    for experiment in EXPERIMENTS.values():
+        say(f"{experiment.id} ...")
+        outcome = experiment.execute(quick)
+        for table in outcome.tables:
+            sections.append(f"## {table.title}\n\n{_md_table(table.rows)}")
+        if outcome.footer:
+            sections[-1] += f"\n\n{outcome.footer}"
 
     header = (
         "# SWAT reproduction report\n\n"

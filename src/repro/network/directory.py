@@ -14,9 +14,8 @@ runtimes differ only in how they move messages.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..wavelets.transform import is_power_of_two
 from .messages import MessageKind
@@ -26,7 +25,6 @@ __all__ = [
     "window_segments",
     "DirectoryRow",
     "Directory",
-    "SegmentPlanCache",
 ]
 
 
@@ -247,6 +245,13 @@ class Directory:
             )
         return self._segment_list[max(int(index).bit_length() - 1, 0)]
 
+    def group(self, indices: Iterable[int]) -> Dict[Segment, List[int]]:
+        """``indices`` grouped by directory segment, in first-seen order."""
+        out: Dict[Segment, List[int]] = {}
+        for idx in indices:
+            out.setdefault(self.segment_of(idx), []).append(idx)
+        return out
+
     def reset_counts(self) -> None:
         """Phase boundary: clear every row's read and write counters."""
         for row in self.rows.values():
@@ -323,47 +328,3 @@ class Directory:
     def __repr__(self) -> str:
         cached = ", ".join(str(s) for s, r in self.rows.items() if r.is_cached)
         return f"Directory(N={self.window_size}, cached=[{cached}])"
-
-
-class SegmentPlanCache:
-    """Memoized index→segment grouping for recurring query shapes.
-
-    The replication protocols split every query's window indices by
-    directory segment before consulting caches or forwarding upstream.
-    Serving workloads re-issue the same index sets (continuous queries,
-    degraded answers, retries), so the grouping — a pure function of the
-    index tuple for a fixed window size — is worth caching.  Entries are
-    LRU-evicted past ``max_plans``.
-
-    Callers must treat returned groupings as read-only (they are shared
-    between hits); every call site in :mod:`repro.replication` only
-    iterates.
-    """
-
-    def __init__(self, directory: Directory, max_plans: int = 256) -> None:
-        if max_plans < 1:
-            raise ValueError("max_plans must be >= 1")
-        self.directory = directory
-        self.max_plans = int(max_plans)
-        self.hits = 0
-        self.misses = 0
-        self._groups: "OrderedDict[Tuple[int, ...], Dict[Segment, List[int]]]" = (
-            OrderedDict()
-        )
-
-    def group(self, indices: Sequence[int]) -> Mapping[Segment, Sequence[int]]:
-        """Indices grouped by their directory segment, in first-seen order."""
-        key = tuple(indices)
-        cached = self._groups.get(key)
-        if cached is not None:
-            self._groups.move_to_end(key)
-            self.hits += 1
-            return cached
-        out: Dict[Segment, List[int]] = {}
-        for idx in key:
-            out.setdefault(self.directory.segment_of(idx), []).append(idx)
-        self._groups[key] = out
-        while len(self._groups) > self.max_plans:
-            self._groups.popitem(last=False)
-        self.misses += 1
-        return out

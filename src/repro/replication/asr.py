@@ -32,7 +32,7 @@ from .. import contracts
 from ..core.coverage import CoverageError
 from ..core.queries import InnerProductQuery
 from ..core.swat import Swat
-from ..network.directory import Directory, Segment, SegmentPlanCache
+from ..network.directory import Directory, Segment
 from ..network.messages import MessageKind
 from ..network.topology import Topology
 from ..obs import causal as causal_mod
@@ -79,9 +79,6 @@ class SwatAsr(ReplicationProtocol):
             node: Directory(window_size) for node in topology.nodes
         }
         self._segments = self.sites[topology.root].segments
-        # Segments are identical across sites (same window size), so one
-        # grouping cache serves every site's query decomposition.
-        self._segment_plans = SegmentPlanCache(self.sites[topology.root])
         self.use_summary_ranges = bool(use_summary_ranges)
         self._check_invariants = contracts.resolve_check_flag(check_invariants)
         self._summary = Swat(
@@ -187,7 +184,7 @@ class SwatAsr(ReplicationProtocol):
             raise KeyError(f"unknown site {client!r}")
         if not self.is_warm:
             raise RuntimeError("stream window not yet full; warm up before querying")
-        by_segment = self._segment_plans.group(query.indices)
+        by_segment = self.sites[client].group(query.indices)
         weights = dict(zip(query.indices, query.weights))
         before = self.stats.count(MessageKind.QUERY)
         root_span, ctx = causal_mod.open_span(

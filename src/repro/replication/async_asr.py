@@ -68,7 +68,7 @@ from ..control.governor import ReplicaGovernor
 from ..core.errors import require_finite
 from ..core.queries import InnerProductQuery
 from ..metrics.error import GroundTruthWindow
-from ..network.directory import Directory, Segment, SegmentPlanCache
+from ..network.directory import Directory, Segment
 from ..network.faults import FaultPlan
 from ..network.messages import MessageKind, MessageStats
 from ..network.topology import Topology
@@ -205,7 +205,7 @@ class _Site:
         self, query: InnerProductQuery, from_child: Optional[str]
     ) -> Optional[_AnswerPayload]:
         """Figure 8(a) query branch: whole-query precision test at this site."""
-        by_segment = self.system.group_by_segment(query)
+        by_segment = self.directory.group(query.indices)
         if shake_mod.DETECTOR is not None:
             for seg in by_segment:
                 shake_mod.note_read(f"site:{self.id}", "directory", seg)
@@ -269,7 +269,7 @@ class _Site:
         oldest last-sync time over the queried segments (``None`` when the
         site has never synced one of them).
         """
-        by_segment = self.system.group_by_segment(query)
+        by_segment = self.directory.group(query.indices)
         estimates: Dict[int, float] = {}
         halfwidths: Dict[int, float] = {}
         stale_since: Optional[float] = None
@@ -735,8 +735,6 @@ class AsyncSwatAsr:
         for node, site in self.sites.items():
             self.transport.register(node, site.handle)
         self._segments = self.sites[topology.root].directory.segments
-        # One grouping cache for all sites: segments depend only on N.
-        self._segment_plans = SegmentPlanCache(self.sites[topology.root].directory)
         self.query_latencies: List[float] = []
         self.query_outcomes: List[QueryOutcome] = []
         self.last_query_hops = 0
@@ -770,15 +768,6 @@ class AsyncSwatAsr:
     @property
     def is_warm(self) -> bool:
         return len(self.window) >= self.window_size
-
-    def group_by_segment(
-        self, query: InnerProductQuery
-    ) -> Mapping[Segment, Sequence[int]]:
-        """Query indices grouped by directory segment (cached per shape).
-
-        The grouping is shared between calls — treat it as read-only.
-        """
-        return self._segment_plans.group(query.indices)
 
     def _on_response_lost(self, env: Envelope) -> None:
         if obs.ENABLED:

@@ -18,10 +18,11 @@ order — unless one event is a transitive scheduling ancestor of the other
 running between events are sequential and never conflict.
 
 **Schedule perturbation** (:func:`run_shake`, the ``repro shake`` CLI).
-The chaos scenario of PR 4/5 (binary tree, seeded drop/duplication/jitter
-fault plan, one interior-site crash) is replayed ``K + 1`` times: once
-with the simulator's FIFO tie-break, then under ``K`` seeded random
-permutations of same-timestamp event order
+The chaos scenario
+(:func:`~repro.experiments.distributed.run_chaos_scenario`: binary tree,
+seeded drop/duplication/jitter fault plan, one interior-site crash) is
+replayed ``K + 1`` times: once with the simulator's FIFO tie-break, then
+under ``K`` seeded random permutations of same-timestamp event order
 (:class:`~repro.simulate.events.Simulator` ``tiebreak=``).  Every run's
 observable outcome — directory state, query outcomes, message statistics,
 fault counters, and the causal span-tree *topology* — is fingerprinted
@@ -382,69 +383,26 @@ def run_shake(
 
     # Imported lazily: shake is imported by the transport at module load,
     # and pulling the replication stack in up front would be a cycle.
-    from ..data.synthetic import uniform_stream
-    from ..data.workload import RandomWorkload
-    from ..network.faults import CrashWindow, FaultPlan
-    from ..network.topology import Topology
+    from ..experiments.distributed import run_chaos_scenario
     from ..obs.causal import CausalTracer
-    from ..replication.async_asr import AsyncSwatAsr
-
-    n_clients = 4 if quick else 6
-    window_size = 16 if quick else 32
-    n_queries = 6 if quick else 12
-    latency, jitter = 0.05, 0.02
-    drop_rate, duplicate_rate = 0.1, 0.05
-    query_period = 1.0
 
     def run_once(
         tiebreak: Optional[Callable[[], float]], detector: Optional[RaceDetector]
     ) -> Dict[str, Any]:
-        topo = Topology.complete_binary_tree(n_clients)
-        interior = next(n for n in topo.nodes if n != topo.root and topo.children(n))
-        fill = float(window_size)
-        run_span = n_queries * query_period
-        plan = FaultPlan(
-            seed=seed + 1,
-            drop_rate=drop_rate,
-            duplicate_rate=duplicate_rate,
-            jitter=jitter,
-            crashes=(
-                CrashWindow(
-                    interior, fill + run_span / 3.0, fill + 2.0 * run_span / 3.0
-                ),
-            ),
-        )
         sim = Simulator(tiebreak=tiebreak)
         causal = CausalTracer(seed=seed)
-        protocol = AsyncSwatAsr(
-            topo,
-            window_size,
-            latency=latency,
-            sim=sim,
-            faults=plan,
-            retry_timeout=0.1,
-            max_retries=2,
-            causal=causal,
-        )
         if detector is not None:
             detector.install(sim)
         try:
-            stream = uniform_stream(window_size + n_queries, seed=seed)
-            for i in range(window_size):
-                protocol.on_data(float(stream[i]), now=float(i))
-            workload = RandomWorkload(
-                window_size,
-                max_length=8,
-                precision_low=2.0,
-                precision_high=10.0,
+            protocol = run_chaos_scenario(
+                n_clients=4 if quick else 6,
+                window_size=16 if quick else 32,
+                n_queries=6 if quick else 12,
+                drop_rate=0.1,
                 seed=seed,
+                causal=causal,
+                sim=sim,
             )
-            clients = topo.clients
-            for q in range(n_queries):
-                at = fill + q * query_period
-                protocol.on_data(float(stream[window_size + q]), now=at)
-                protocol.on_query(clients[q % len(clients)], workload.next(), now=at)
-            protocol.on_phase_end()
         finally:
             if detector is not None:
                 detector.uninstall(sim)

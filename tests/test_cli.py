@@ -165,8 +165,38 @@ class TestTrace:
         assert main(["govern", "--quick", "--report-out", "/nonexistent-xyz/r.json"]) == 2
         assert "does not exist" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["govern", "shake"])
+    def test_report_out_empty_path_fails_before_the_run(self, command, capsys, restore_obs):
+        argv = [command, "--quick", "--permutations", "1", "--report-out", ""]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--report-out: empty path" in captured.err
+        assert captured.out == ""  # nothing ran
+
 
 class TestReport:
+    def test_one_section_per_table_with_the_cli_rows(self, monkeypatch):
+        """Each ``##`` section holds the rows ``repro <id> --quick`` prints."""
+        from repro.experiments import report
+
+        chosen = {name: EXPERIMENTS[name] for name in ("space", "fig10a", "govern")}
+        monkeypatch.setattr(report, "EXPERIMENTS", chosen)  # a cheap subset
+        text = report.generate_report(quick=True)
+        sections = text.split("\n## ")[1:]
+        tables = [t for e in chosen.values() for t in e.execute(True).tables]
+        assert len(sections) == len(tables)
+        for section, table in zip(sections, tables):
+            assert section.startswith(f"{table.title}\n\n{report._md_table(table.rows)}")
+        assert "disabled-governor run bit-identical" in sections[-1]  # the footer
+
+    def test_every_declared_title_is_printed(self):
+        for name in ("space", "govern"):
+            experiment = EXPERIMENTS[name]
+            titles = [t.title for t in experiment.execute(True).tables]
+            assert len(titles) == len(experiment.titles)
+            for printed, declared in zip(titles, experiment.titles):
+                assert printed.startswith(declared)
+
     def test_generate_report_structure(self):
         """The report generator produces a section per figure (tiny run)."""
         from repro.experiments.report import _md_table

@@ -108,3 +108,24 @@ class TestQueries:
             est = tree.estimates(list(range(512)))
             errs.append(float(np.abs(est - stream[::-1]).mean()))
         assert errs[0] >= errs[1] >= errs[2]
+
+
+class TestNonFiniteInput:
+    """Non-finite arrivals are rejected at the boundary, as ``Swat`` does."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_update_rejects_non_finite(self, bad):
+        tree = GrowingSwat()
+        tree.extend([1.0, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            tree.update(bad)
+        assert tree.time == 2
+
+    def test_extend_stops_at_the_first_non_finite_value(self):
+        tree = GrowingSwat()
+        with pytest.raises(ValueError, match="finite"):
+            tree.extend([1.0, 2.0, float("nan"), 4.0])
+        assert tree.time == 2
+        est = tree.estimates([0, 1])
+        assert np.isfinite(est).all()
+        np.testing.assert_array_equal(est, [2.0, 1.0])

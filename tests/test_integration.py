@@ -17,7 +17,6 @@ from repro import (
 )
 from repro.data import FixedWorkload, make_query, santa_barbara_temps, uniform_stream
 from repro.experiments import run_error_experiment
-from repro.experiments.centralized import _HistAdapter
 from repro.metrics import Stopwatch
 from repro.replication import ReplicationConfig
 
@@ -33,7 +32,7 @@ class TestCentralizedClaims:
             stream, N, Swat(N), workload, warmup=1000, query_every=48
         )
         hist = run_error_experiment(
-            stream, N, _HistAdapter(HistogramSummary(N, 24, 0.1)), workload,
+            stream, N, HistogramSummary(N, 24, 0.1), workload,
             warmup=1000, query_every=48,
         )
         assert swat.mean < hist.mean
