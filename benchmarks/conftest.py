@@ -1,8 +1,10 @@
-"""Shared fixtures for the figure-regeneration benchmarks.
+"""Shared fixtures for the complexity, latency, ablation and related-work
+benchmarks.  The paper's figures and their claims are run by ``repro <id>``
+(``src/repro/experiments/registry.py``), not from here.
 
-Every bench prints the rows the paper's figure reports (via the ``report``
-fixture, which bypasses pytest's output capture so the tables appear in
-``pytest benchmarks/ --benchmark-only`` output) and also writes them under
+Every bench prints its table (via the ``report`` fixture, which bypasses
+pytest's output capture so the tables appear in
+``pytest benchmarks/ --benchmark-only`` output) and also writes it under
 ``benchmarks/results/``.
 
 Set ``REPRO_QUICK=1`` to run scaled-down versions (~10x faster) of the

@@ -37,8 +37,10 @@ query's critical path, and — with ``--trace-out FILE`` — exports every span
 tree as Chrome trace-event JSON loadable in Perfetto (see
 ``docs/observability.md``, "Causal tracing").
 
-Every experiment id is declared once in :mod:`repro.experiments.registry`;
-this module only dispatches ids to it and formats the output.
+Every experiment id is declared once in :mod:`repro.experiments.registry`,
+with the paper claims its run must show; this module only dispatches ids
+to it and formats the output.  An experiment run (``<id>``, ``stats``,
+``trace``, ``all``, ``report``) exits 1 when any of its claims fails.
 """
 
 from __future__ import annotations
@@ -424,7 +426,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.experiment == "report":
         from .experiments.report import generate_report
 
-        text = generate_report(quick=args.quick, progress=lambda m: print(m, file=sys.stderr))
+        text, ok = generate_report(
+            quick=args.quick, progress=lambda m: print(m, file=sys.stderr)
+        )
         if args.output:
             with open(args.output, "w") as fh:
                 fh.write(text)
@@ -432,7 +436,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             print(text)
         _write_outputs(args, tracer, "report")
-        return 0
+        return 0 if ok else 1
 
     if args.experiment == "list":
         print("available experiments:")
@@ -442,11 +446,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("(prefix any id with 'stats' for a post-run metrics report)")
         return 0
     if args.experiment == "all":
+        ok = True
         for experiment in EXPERIMENTS.values():
-            print(experiment.execute(args.quick).render())
+            outcome = experiment.execute(args.quick)
+            print(outcome.render())
             print()
+            ok = ok and outcome.ok
         _write_outputs(args, tracer, "all")
-        return 0
+        return 0 if ok else 1
 
     name = args.experiment
     if name in ("stats", "trace"):

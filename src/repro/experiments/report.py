@@ -3,15 +3,17 @@
 ``python -m repro report [--quick] [-o report.md]`` runs every experiment of
 :data:`~repro.experiments.registry.EXPERIMENTS` with the parameters
 ``repro <id>`` uses and renders one ``##`` section per table, in the style
-of EXPERIMENTS.md but with freshly measured numbers, so a user can validate
-the reproduction on their own machine in one command.
+of EXPERIMENTS.md but with freshly measured numbers, each experiment's
+sections followed by its ``- claim <name> [<section>]: holds|FAILED``
+lines, so a user can validate the reproduction on their own machine in one
+command.
 """
 
 from __future__ import annotations
 
 import datetime
 import platform
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from .centralized import _fmt
 from .registry import EXPERIMENTS
@@ -33,8 +35,9 @@ def _md_table(rows: List[dict]) -> str:
 
 def generate_report(
     quick: bool = True, progress: Optional[Callable[[str], None]] = None
-) -> str:
-    """Run every registry experiment and return a markdown report.
+) -> Tuple[str, bool]:
+    """Run every registry experiment; return a markdown report and whether
+    every experiment's claims held.
 
     Parameters
     ----------
@@ -45,6 +48,7 @@ def generate_report(
     """
     say = progress or (lambda msg: None)
     sections: List[str] = []
+    ok = True
     for experiment in EXPERIMENTS.values():
         say(f"{experiment.id} ...")
         outcome = experiment.execute(quick)
@@ -52,6 +56,9 @@ def generate_report(
             sections.append(f"## {table.title}\n\n{_md_table(table.rows)}")
         if outcome.footer:
             sections[-1] += f"\n\n{outcome.footer}"
+        if outcome.verdicts:
+            sections[-1] += "\n\n" + "\n".join(f"- {line}" for line in outcome.claim_lines())
+        ok = ok and outcome.ok
 
     header = (
         "# SWAT reproduction report\n\n"
@@ -61,4 +68,4 @@ def generate_report(
         "Paper-vs-measured context and interpretation live in EXPERIMENTS.md;\n"
         "this file records a fresh run on this machine.\n"
     )
-    return header + "\n\n" + "\n\n".join(sections) + "\n"
+    return header + "\n\n" + "\n\n".join(sections) + "\n", ok

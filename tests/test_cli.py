@@ -1,7 +1,9 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 import logging
+import re
 
 import pytest
 
@@ -42,6 +44,7 @@ class TestCli:
         assert main(["space"]) == 0
         out = capsys.readouterr().out
         assert "Section 5.1" in out
+        assert out.splitlines()[-1] == "claim space-asr-below-dc [§5.1]: holds"
 
     def test_every_experiment_has_a_driver(self):
         expected = {
@@ -181,7 +184,8 @@ class TestReport:
 
         chosen = {name: EXPERIMENTS[name] for name in ("space", "fig10a", "govern")}
         monkeypatch.setattr(report, "EXPERIMENTS", chosen)  # a cheap subset
-        text = report.generate_report(quick=True)
+        text, ok = report.generate_report(quick=True)
+        assert ok
         sections = text.split("\n## ")[1:]
         tables = [t for e in chosen.values() for t in e.execute(True).tables]
         assert len(sections) == len(tables)
@@ -209,3 +213,50 @@ class TestReport:
         from repro.experiments.report import _md_table
 
         assert "(no rows)" in _md_table([])
+
+
+class TestClaims:
+    #: Registry experiments whose ``--quick`` run takes under ~3 s.
+    FAST = ("space", "fig4a", "fig9a", "fig9b", "fig9c", "fig10a", "fig10b")
+
+    @pytest.mark.parametrize("name", FAST)
+    def test_quick_claims_hold(self, name):
+        outcome = EXPERIMENTS[name].execute(True)
+        assert outcome.verdicts
+        assert [c.name for c, held in outcome.verdicts if not held] == []
+
+    def test_claim_names_unique_and_cite_a_section(self):
+        claims = [c for e in EXPERIMENTS.values() for c in e.claims]
+        names = [c.name for c in claims]
+        assert len(names) == len(set(names))
+        for claim in claims:
+            assert re.fullmatch(r"[a-z0-9][a-z0-9.-]*", claim.name), claim.name
+            assert re.match(r"(Fig\. \d+\([a-f]\)|§\d)", claim.section), claim
+
+    @pytest.fixture()
+    def failing(self, monkeypatch, restore_obs):
+        """A registry of one cheap experiment whose claim fails."""
+        from repro.experiments import registry, report
+
+        broken = dataclasses.replace(
+            EXPERIMENTS["space"],
+            id="broken",
+            claims=(registry.Claim("broken-never-holds", "§5.1", lambda o: False),),
+        )
+        monkeypatch.setattr("repro.cli.EXPERIMENTS", {"broken": broken})
+        monkeypatch.setattr(report, "EXPERIMENTS", {"broken": broken})
+        return "claim broken-never-holds [§5.1]: FAILED"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["broken"], ["stats", "broken"], ["all", "--quick"]],
+        ids=["id", "stats", "all"],
+    )
+    def test_failed_claim_exits_1(self, argv, failing, capsys):
+        assert main(argv) == 1
+        assert failing in capsys.readouterr().out.splitlines()
+
+    def test_report_is_written_and_exits_1(self, failing, tmp_path):
+        path = tmp_path / "report.md"
+        assert main(["report", "--quick", "-o", str(path)]) == 1
+        assert f"- {failing}" in path.read_text().splitlines()
