@@ -1,5 +1,5 @@
-"""Shared fixtures for the complexity, latency, ablation and related-work
-benchmarks.  The paper's figures and their claims are run by ``repro <id>``
+"""Shared fixtures for the complexity, latency, ablation, ADR and
+batched-ingest benchmarks.  The paper's figures and their claims are run by ``repro <id>``
 (``src/repro/experiments/registry.py``), not from here.
 
 Every bench prints its table (via the ``report`` fixture, which bypasses

@@ -23,8 +23,6 @@ import logging as _logging
 
 from . import obs
 from .core import (
-    ContinuousQueryEngine,
-    GrowingSwat,
     InnerProductQuery,
     QueryAnswer,
     RangeQuery,
@@ -53,8 +51,6 @@ __all__ = [
     "obs",
     "Swat",
     "QueryAnswer",
-    "GrowingSwat",
-    "ContinuousQueryEngine",
     "StreamEnsemble",
     "InnerProductQuery",
     "RangeQuery",

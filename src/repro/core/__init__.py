@@ -1,6 +1,5 @@
 """SWAT core: the approximation tree, query model, and error analysis."""
 
-from .continuous import ContinuousQueryEngine, Subscription
 from .coverage import Cover, CoverageError, build_cover
 from .engine import QueryEngine
 from .errors import (
@@ -10,7 +9,6 @@ from .errors import (
     linear_level_bound,
     linear_query_bound,
 )
-from .growing import GrowingSwat
 from .multi import StreamEnsemble
 from .node import Role, SwatNode
 from .plan import PlanStep, QueryPlan, compile_plan, phase_of
@@ -26,9 +24,6 @@ from .swat import QueryAnswer, Swat
 __all__ = [
     "Swat",
     "QueryAnswer",
-    "GrowingSwat",
-    "ContinuousQueryEngine",
-    "Subscription",
     "QueryEngine",
     "QueryPlan",
     "PlanStep",

@@ -13,20 +13,22 @@ weighted error contributed by a single level-``l`` node to a query:
 These are exposed both for documentation and as oracles for the empirical
 tests in ``tests/test_error_bounds.py``.
 
-:func:`require_finite` is the one finiteness gate every ingest path shares:
-scalar callers (``Swat.update``, ``PrefixStats.update``) pay a single
-``math.isfinite``, while the batched ingest paths validate a whole block with
-one ``np.isfinite(...).all()``.
+:func:`require_finite` is the one gate every ingest path shares: stream
+values must be finite and at most :data:`MAX_STREAM_MAGNITUDE` in magnitude,
+checked before any state changes.  Query weights and restored checkpoint
+state keep a finiteness-only check.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import List, Union
 
 import numpy as np
 
 __all__ = [
+    "MAX_STREAM_MAGNITUDE",
     "require_finite",
     "exponential_level_bound",
     "exponential_query_bound",
@@ -36,25 +38,43 @@ __all__ = [
 ]
 
 
-def require_finite(
-    values: Union[float, int, np.ndarray], what: str = "stream values"
-) -> None:
-    """Raise :exc:`ValueError` unless every value is finite.
+#: Largest magnitude a stream value may have.  The worst accumulation on
+#: stream values is the histogram SSE's squared interval sum ``s * s`` in
+#: ``PrefixStats.sse`` and ``histogram.approx``: ``s`` adds up to ``W``
+#: values, so it is finite iff ``W * |v| <= sqrt(DBL_MAX) ~= 1.34e154``.
+#: (One square alone, as in ``PrefixStats``' running sum of squares, already
+#: overflows past ``|v| ~= 1.3e154``.)  Any window has ``W <= 2**53``, so
+#: ``|v| <= 1.34e154 / 2**53 ~= 1.49e138``.  Every other accumulation is
+#: smaller: a Haar node's scaling coefficient is at most ``sqrt(W) * |v|``.
+MAX_STREAM_MAGNITUDE = 1e138
 
-    Scalars take the ``math.isfinite`` fast path (no array allocation on the
-    per-arrival hot paths); anything array-like is validated in one
-    vectorized ``np.isfinite`` sweep, naming the first offender.
+
+def require_finite(
+    values: Union[float, int, np.ndarray],
+    what: str = "stream values",
+    limit: float = sys.float_info.max,
+) -> None:
+    """Raise :exc:`ValueError` unless every value lies in ``[-limit, limit]``.
+
+    The default ``limit`` is the largest finite float, which makes this a
+    finiteness check; stream-value boundaries pass
+    :data:`MAX_STREAM_MAGNITUDE`.  NaN fails every comparison, so one bound
+    test per scalar (one ``abs``/``max`` sweep per array) rejects NaN and
+    infinities too.  The error names the first offender.
     """
     if isinstance(values, (float, int)):
-        if math.isfinite(values):
+        if -limit <= values <= limit:
             return
-        raise ValueError(f"{what} must be finite, got {float(values)!r}")
-    arr = np.asarray(values, dtype=np.float64)
-    finite = np.isfinite(arr)
-    if bool(finite.all()):
-        return
-    bad = float(arr[~finite].flat[0])
-    raise ValueError(f"{what} must be finite, got {bad!r}")
+        bad = float(values)
+    else:
+        arr = np.asarray(values, dtype=np.float64)
+        magnitude = np.abs(arr)
+        if magnitude.max(initial=0.0) <= limit:
+            return
+        bad = float(arr[~(magnitude <= limit)].flat[0])
+    raise ValueError(
+        f"{what} must be finite and at most {limit:g} in magnitude, got {bad!r}"
+    )
 
 
 def exponential_level_bound(eps: float, level: int) -> float:

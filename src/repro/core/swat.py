@@ -45,7 +45,7 @@ from ..wavelets.haar import (
 )
 from ..wavelets.transform import full_decompose, is_power_of_two, truncate
 from .coverage import Cover, build_cover
-from .errors import require_finite
+from .errors import MAX_STREAM_MAGNITUDE, require_finite
 from .node import Role, SwatNode
 from .plan import QueryPlan, compile_plan, window_indices
 from .queries import InnerProductQuery, RangeQuery
@@ -318,7 +318,7 @@ class Swat:
         # pays one check here and one at the end.
         _t0 = causal_mod.block_start(self.causal)
         value = float(value)
-        require_finite(value)
+        require_finite(value, limit=MAX_STREAM_MAGNITUDE)
         self._time += 1
         t = self._time
         self._buffer.append(value)
@@ -356,20 +356,22 @@ class Swat:
         value by value.  Generic wavelets and largest-``k`` trees fall back
         to the scalar loop, as does a tree still settling after a
         :meth:`reconfigure` (the batch cascade's inter-block carry assumes
-        an undisturbed shift pipeline).
+        an undisturbed shift pipeline).  Either way the whole block is
+        validated before the first value is ingested.
         """
+        if isinstance(values, np.ndarray):
+            block = np.asarray(values, dtype=np.float64)
+        else:
+            block = np.asarray(list(values), dtype=np.float64)
+        if block.ndim != 1:
+            raise ValueError(
+                f"extend expects a flat sequence of values, got shape {block.shape}"
+            )
         if self._is_haar and self.selection == "first" and not self._settling:
-            if isinstance(values, np.ndarray):
-                block = np.asarray(values, dtype=np.float64)
-            else:
-                block = np.asarray(list(values), dtype=np.float64)
-            if block.ndim != 1:
-                raise ValueError(
-                    f"extend expects a flat sequence of values, got shape {block.shape}"
-                )
             self._extend_batch(block)
             return
-        for v in values:
+        require_finite(block, limit=MAX_STREAM_MAGNITUDE)
+        for v in block:
             self.update(v)
 
     def _extend_batch(self, block: np.ndarray) -> None:
@@ -389,7 +391,7 @@ class Swat:
         if b == 0:
             return
         _t0 = causal_mod.block_start(self.causal)
-        require_finite(block)
+        require_finite(block, limit=MAX_STREAM_MAGNITUDE)
         t0 = self._time
         tend = t0 + b
         m = self.min_level

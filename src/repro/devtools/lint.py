@@ -25,7 +25,7 @@ REP004    ``obs.counter`` / ``obs.gauge`` / ``obs.histogram`` calls in hot
 REP005    no mutable default arguments (``def f(x=[])``) anywhere
 REP006    no per-value Python loops feeding ``<swat-like>.update(v)`` in
           library code (``core/``, ``replication/``, ``histogram/``,
-          ``sketches/``, ``network/``) — pass the block to ``.extend``,
+          ``network/``) — pass the block to ``.extend``,
           whose batched ingest path is bit-identical and vectorized
           (``experiments/`` is exempt: per-arrival timing loops are the
           point of Figure 6)
@@ -48,7 +48,7 @@ REP010    no ambient-state calls (module-level RNG, wall clock, uuid4,
 REP011    no per-query Python loops feeding ``<swat-like>.answer`` /
           ``.estimates`` / ``.cover`` or ``build_cover(...)`` in library
           serving paths (``core/``, ``replication/``, ``histogram/``,
-          ``sketches/``, ``network/``) — route repeated reads through
+          ``network/``) — route repeated reads through
           ``QueryEngine.answer_batch``, which compiles the cover once per
           (shape, phase) and stays bit-identical (read-side mirror of
           REP006)
@@ -671,7 +671,7 @@ RULES: Tuple[Rule, ...] = (
     Rule(
         "REP006",
         "no per-value update loops where a batched extend would do",
-        ("core", "replication", "histogram", "sketches", "network"),
+        ("core", "replication", "histogram", "network"),
         _check_rep006,
     ),
     Rule(
@@ -701,7 +701,7 @@ RULES: Tuple[Rule, ...] = (
     Rule(
         "REP011",
         "no per-query answer/cover loops where a plan-cached batch would do",
-        ("core", "replication", "histogram", "sketches", "network"),
+        ("core", "replication", "histogram", "network"),
         _check_rep011,
     ),
     Rule(

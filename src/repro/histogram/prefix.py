@@ -19,7 +19,7 @@ from typing import Iterable, Tuple, Union
 
 import numpy as np
 
-from ..core.errors import require_finite
+from ..core.errors import MAX_STREAM_MAGNITUDE, require_finite
 
 __all__ = ["PrefixStats"]
 
@@ -50,7 +50,7 @@ class PrefixStats:
     def update(self, value: float) -> None:
         """Ingest one arrival: O(1) amortized (occasional compaction)."""
         v = float(value)
-        require_finite(v)
+        require_finite(v, limit=MAX_STREAM_MAGNITUDE)
         if self._end == self._cap:
             self._compact()
         e = self._end
@@ -70,7 +70,7 @@ class PrefixStats:
         n = block.size
         if n == 0:
             return
-        require_finite(block)
+        require_finite(block, limit=MAX_STREAM_MAGNITUDE)
         w = self.window_size
         if n >= w:
             # The block alone fills the window: rebuild from its tail.

@@ -260,11 +260,13 @@ class AdrObject:
                     + sum(counters.reads.values())
                     - traffic_v
                 )
-                if counters.writes.get(v, 0) > other:
+                # ADR's switch test counts every request from v's side,
+                # reads and writes alike, against all other traffic.
+                if traffic_v > other:
                     logger.debug(
                         "ADR switch: singleton %s hands the object to %s "
-                        "(writes=%d > other traffic=%d)",
-                        node, v, counters.writes.get(v, 0), other,
+                        "(traffic=%d > other traffic=%d)",
+                        node, v, traffic_v, other,
                     )
                     self.replicas = {v}
                     self.messages += 1  # ship the object to v

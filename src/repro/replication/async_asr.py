@@ -65,7 +65,7 @@ from typing import (
 
 from .. import contracts
 from ..control.governor import ReplicaGovernor
-from ..core.errors import require_finite
+from ..core.errors import MAX_STREAM_MAGNITUDE, require_finite
 from ..core.queries import InnerProductQuery
 from ..metrics.error import GroundTruthWindow
 from ..network.directory import Directory, Segment
@@ -919,7 +919,7 @@ class AsyncSwatAsr:
         and a crashed source skips the cascade (the window still tracks the
         true stream so recovery resumes from fresh ranges).
         """
-        require_finite(value)
+        require_finite(value, limit=MAX_STREAM_MAGNITUDE)
         if now is not None and now > self.sim.now:
             self.sim.run_until(now)
         self._handle_recoveries()

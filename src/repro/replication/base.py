@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 
-from ..core.errors import require_finite
+from ..core.errors import MAX_STREAM_MAGNITUDE, require_finite
 from ..core.queries import InnerProductQuery
 from ..metrics.error import GroundTruthWindow
 from ..network.messages import MessageStats
@@ -78,9 +78,11 @@ class ReplicationProtocol(abc.ABC):
         return len(self.window) >= self.window_size
 
     def on_data(self, value: float, now: float = 0.0) -> None:
-        """A new stream value arrives at the source; non-finite ones are
-        rejected (:exc:`ValueError`) before any state changes."""
-        require_finite(value)
+        """A new stream value arrives at the source; values outside the
+        accepted domain (non-finite, or beyond
+        :data:`~repro.core.errors.MAX_STREAM_MAGNITUDE`) are rejected
+        (:exc:`ValueError`) before any state changes."""
+        require_finite(value, limit=MAX_STREAM_MAGNITUDE)
         self.window.update(value)
         if self.is_warm:
             self._propagate(value, now)

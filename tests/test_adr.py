@@ -108,6 +108,26 @@ class TestAdaptation:
         obj.end_phase()
         assert obj.replicas == {"C3"}  # converged to the activity centre
 
+    def test_switch_counts_reads_and_writes_from_the_neighbour(self):
+        # C1 - S - C2: C1 reads 4x and writes 4x, C2 writes 4x per phase.
+        # {S} costs 12 messages a phase and {C1} costs 8, so the singleton
+        # must switch on C1's combined traffic (8 > 4), not its writes alone.
+        topo = Topology.complete_binary_tree(2)
+        obj = AdrObject(topo)
+        costs = []
+        for __ in range(3):
+            before = obj.messages
+            for __ in range(4):
+                obj.read("C1")
+            for __ in range(4):
+                obj.write("C1", 1.0)
+            for __ in range(4):
+                obj.write("C2", 2.0)
+            obj.end_phase()
+            costs.append(obj.messages - before)
+        assert obj.replicas == {"C1"}
+        assert costs == [13, 8, 8]  # the first phase pays the 1-hop handoff
+
     def test_amoeba_stays_connected_under_mixed_load(self):
         import numpy as np
 

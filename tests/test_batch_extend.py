@@ -18,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.coverage import CoverageError
-from repro.core.errors import require_finite
+from repro.core.errors import MAX_STREAM_MAGNITUDE, require_finite
 from repro.core.multi import StreamEnsemble
+from repro.core.queries import exponential_query
 from repro.core.swat import Swat
 from repro.histogram.prefix import PrefixStats
 from repro.metrics.error import GroundTruthWindow
@@ -413,6 +414,105 @@ class TestRequireFinite:
     def test_custom_subject(self):
         with pytest.raises(ValueError, match="weights must be finite"):
             require_finite(np.array([np.nan]), what="weights")
+
+
+# ------------------------------------------------------- accepted value domain
+
+PAST_BOUND = float(np.nextafter(MAX_STREAM_MAGNITUDE, np.inf))
+
+domain_values = st.floats(
+    min_value=-MAX_STREAM_MAGNITUDE,
+    max_value=MAX_STREAM_MAGNITUDE,
+    allow_nan=False,
+    allow_infinity=False,
+    allow_subnormal=True,
+)
+
+
+@st.composite
+def domain_cases(draw):
+    n = draw(st.sampled_from([4, 16, 64]))
+    k = draw(st.integers(min_value=1, max_value=4))
+    track = k == 1 and draw(st.booleans())
+    values = draw(st.lists(domain_values, max_size=3 * n))
+    cut = draw(st.integers(min_value=0, max_value=len(values)))
+    return n, k, track, values, cut
+
+
+class TestValueDomain:
+    """Stream values are accepted up to ``MAX_STREAM_MAGNITUDE`` and every
+    answer served from them is finite; one ulp past it is rejected before
+    any state changes."""
+
+    def test_swat_update_accepts_the_bound(self):
+        tree = Swat(16, k=16)
+        for i in range(40):
+            tree.update(MAX_STREAM_MAGNITUDE if i % 2 else -MAX_STREAM_MAGNITUDE)
+        assert np.isfinite(tree.estimates(list(range(16)))).all()
+        assert np.isfinite(tree.answer(exponential_query(16)).value)
+
+    @pytest.mark.parametrize("past", [PAST_BOUND, -PAST_BOUND, 1e308])
+    def test_swat_update_rejects_past_the_bound(self, past):
+        tree = Swat(16, k=16)
+        tree.extend(np.arange(20.0))
+        before = tree_bits(tree)
+        with pytest.raises(ValueError, match=r"at most 1e\+138 in magnitude"):
+            tree.update(past)
+        assert tree_bits(tree) == before
+
+    def test_swat_extend_accepts_the_bound(self):
+        tree = Swat(16, k=16)
+        tree.extend([MAX_STREAM_MAGNITUDE] * 40)
+        np.testing.assert_allclose(
+            tree.estimates([0, 1, 2, 3]), [MAX_STREAM_MAGNITUDE] * 4, rtol=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "options", [{}, {"selection": "largest"}, {"wavelet": "db2"}]
+    )
+    @pytest.mark.parametrize("past", [PAST_BOUND, -PAST_BOUND, 1e308])
+    def test_swat_extend_rejects_past_the_bound_atomically(self, past, options):
+        tree = Swat(16, k=16, **options)
+        tree.extend(np.arange(20.0))
+        before = tree_bits(tree)
+        with pytest.raises(ValueError, match=r"at most 1e\+138 in magnitude"):
+            tree.extend([1.0] * 30 + [past])
+        assert tree_bits(tree) == before
+
+    def test_prefix_stats_accept_the_bound(self):
+        scalar, batched = PrefixStats(8), PrefixStats(8)
+        block = [MAX_STREAM_MAGNITUDE, -MAX_STREAM_MAGNITUDE] * 20
+        for v in block:
+            scalar.update(v)
+        batched.extend(block)
+        for stats in (scalar, batched):
+            assert math.isfinite(stats.sse(0, 8))
+            assert math.isfinite(stats.interval_sq_sum(0, 8))
+
+    @pytest.mark.parametrize("past", [PAST_BOUND, -PAST_BOUND])
+    def test_prefix_stats_reject_past_the_bound(self, past):
+        stats = PrefixStats(8)
+        stats.extend([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=r"at most 1e\+138 in magnitude"):
+            stats.update(past)
+        with pytest.raises(ValueError, match=r"at most 1e\+138 in magnitude"):
+            stats.extend([4.0, past])
+        np.testing.assert_array_equal(stats.window(), [1.0, 2.0, 3.0])
+
+    @given(case=domain_cases())
+    @settings(max_examples=100)
+    def test_batched_equals_scalar_and_answers_stay_finite(self, case):
+        n, k, track, values, cut = case
+        scalar = Swat(n, k=k, track_deviation=track)
+        batched = Swat(n, k=k, track_deviation=track)
+        replay_scalar(scalar, values)
+        batched.extend(np.asarray(values[:cut], dtype=np.float64))
+        batched.extend(np.asarray(values[cut:], dtype=np.float64))
+        assert tree_bits(batched) == tree_bits(scalar)
+        if batched.size:
+            indices = list(range(batched.size))
+            assert np.isfinite(batched.estimates(indices)).all()
+            assert np.isfinite(batched.answer(exponential_query(batched.size)).value)
 
 
 # ------------------------------------------------------------- ensemble / truth

@@ -110,7 +110,17 @@ class TestSwatCorruption:
 class TestNonFiniteState:
     """Finite inputs near the float limit overflow the Haar butterfly; the
     invariant check must refuse the poisoned node at once instead of letting
-    the tree serve ``nan`` until a checkpoint fails to serialize."""
+    the tree serve ``nan`` until a checkpoint fails to serialize.
+
+    The ingest gate rejects such values first (``MAX_STREAM_MAGNITUDE``), so
+    the overflow tests widen it to every finite float: the contract is the
+    second line of defence for a gate that admits too much."""
+
+    @pytest.fixture(autouse=True)
+    def finiteness_only_gate(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.core.swat.MAX_STREAM_MAGNITUDE", sys.float_info.max
+        )
 
     def test_extend_overflow_names_the_node(self):
         tree = Swat(16, k=16, check_invariants=True)

@@ -114,31 +114,3 @@ class TestDistributedClaims:
     def test_identical_workloads(self, results):
         counts = {r.n_queries for r in results.values()}
         assert len(counts) == 1  # all protocols saw the same query load
-
-
-class TestCrossSubsystem:
-    def test_growing_and_windowed_agree_after_window_fills(self):
-        from repro import GrowingSwat
-
-        stream = uniform_stream(600, seed=2)
-        g, w = GrowingSwat(), Swat(128)
-        for v in stream:
-            g.update(v)
-            w.update(v)
-        q = exponential_query(48)
-        assert g.answer(q) == pytest.approx(w.answer(q).value, rel=1e-6)
-
-    def test_continuous_engine_on_replicated_source_stream(self):
-        """A standing query tracks what one-shot queries would have seen."""
-        from repro import ContinuousQueryEngine
-
-        stream = santa_barbara_temps()[:800]
-        engine = ContinuousQueryEngine(Swat(64))
-        seen = []
-        engine.register(exponential_query(16), lambda t, v: seen.append(v),
-                        report_delta=0.0)
-        engine.extend(stream)
-        # Spot-check the final standing answer against a fresh one-shot tree.
-        oneshot = Swat(64)
-        oneshot.extend(stream)
-        assert seen[-1] == pytest.approx(oneshot.answer(exponential_query(16)).value)

@@ -4,6 +4,7 @@ ingest gate every replication protocol shares."""
 import numpy as np
 import pytest
 
+from repro.core.errors import MAX_STREAM_MAGNITUDE
 from repro.core.queries import InnerProductQuery, linear_query, point_query
 from repro.network.topology import Topology
 from repro.replication.async_asr import AsyncSwatAsr
@@ -70,6 +71,35 @@ class TestNonFiniteArrivals:
             twin.on_data(float(v), now=float(t))
         with pytest.raises(ValueError, match="finite"):
             protocol.on_data(bad, now=float(N))
+        protocol.on_data(42.0, now=N + 1.0)
+        twin.on_data(42.0, now=N + 1.0)
+        q = point_query(0, precision=5.0)
+        assert protocol.on_query("C3", q, now=N + 2.0) == twin.on_query("C3", q, now=N + 2.0)
+        assert protocol.stats.snapshot() == twin.stats.snapshot()
+
+
+class TestStreamValueBound:
+    @pytest.mark.parametrize("name", sorted(PROTOCOL_FACTORIES))
+    def test_bound_accepted_and_answers_finite(self, name):
+        protocol = PROTOCOL_FACTORIES[name](Topology.paper_example())
+        for t in range(2 * N):
+            sign = 1.0 if t % 2 else -1.0
+            protocol.on_data(sign * MAX_STREAM_MAGNITUDE, now=float(t))
+        q = point_query(0, precision=5.0)
+        assert np.isfinite(protocol.on_query("C3", q, now=2.0 * N))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("name", sorted(PROTOCOL_FACTORIES))
+    def test_past_the_bound_rejected_before_any_state_changes(self, name, sign):
+        past = sign * float(np.nextafter(MAX_STREAM_MAGNITUDE, np.inf))
+        topo = Topology.paper_example()
+        protocol = PROTOCOL_FACTORIES[name](topo)
+        twin = PROTOCOL_FACTORIES[name](topo)
+        for t, v in enumerate(np.random.default_rng(3).uniform(0, 100, N)):
+            protocol.on_data(float(v), now=float(t))
+            twin.on_data(float(v), now=float(t))
+        with pytest.raises(ValueError, match=r"at most 1e\+138 in magnitude"):
+            protocol.on_data(past, now=float(N))
         protocol.on_data(42.0, now=N + 1.0)
         twin.on_data(42.0, now=N + 1.0)
         q = point_query(0, precision=5.0)

@@ -7,7 +7,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.core import GrowingSwat, Swat
+from repro.core import Swat
 from repro.metrics import GroundTruthWindow
 
 WINDOW = 32
@@ -20,14 +20,12 @@ class SwatMachine(RuleBasedStateMachine):
     @initialize()
     def setup(self):
         self.tree = Swat(WINDOW, check_invariants=True)
-        self.growing = GrowingSwat()
         self.truth = GroundTruthWindow(WINDOW)
         self.history = []
 
     @rule(value=st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
     def feed(self, value):
         self.tree.update(value)
-        self.growing.update(value)
         self.truth.update(value)
         self.history.append(float(value))
 
@@ -51,15 +49,6 @@ class SwatMachine(RuleBasedStateMachine):
                 expected = float(np.mean(segment))
                 scale = 1.0 + abs(expected)
                 assert abs(node.average() - expected) <= 1e-9 * scale
-
-    @invariant()
-    def growing_tree_covers_whole_stream(self):
-        t = self.growing.time
-        if t == 0:
-            return
-        # Spot-check oldest, middle, newest rather than O(t) work per step.
-        for idx in {0, t // 2, t - 1}:
-            assert np.isfinite(self.growing.point_estimate(idx))
 
     @invariant()
     def window_fully_covered_once_warm(self):
