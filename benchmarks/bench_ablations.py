@@ -6,8 +6,7 @@ Not figures from the paper — these probe the knobs the paper leaves fixed:
 * wavelet basis — Haar O(k) combine vs generic bases;
 * raw leaves on/off — the R_{-1}/L_{-1} reading of Figure 3(a);
 * ADR phase length — how reactive SWAT-ASR's tests are;
-* histogram evaluation method — vectorised vs literal binary-search;
-* coefficient selection — first-k vs largest-k retention per node.
+* histogram evaluation method — vectorised vs literal binary-search.
 """
 
 import time
@@ -151,33 +150,3 @@ def test_ablation_histogram_method(benchmark, report):
     dense, search = rows
     assert dense["sse"] == search["sse"]  # identical candidate mathematics
     assert dense["build_seconds"] < search["build_seconds"]
-
-
-def test_ablation_coefficient_selection(benchmark, report):
-    """First-k vs largest-k retention on smooth vs bursty streams."""
-    rng = np.random.default_rng(3)
-    smooth = santa_barbara_temps()[: 4 * N]
-    bursty = np.full(4 * N, 50.0)
-    spikes = rng.choice(4 * N, size=40, replace=False)
-    bursty[spikes] += rng.uniform(50, 100, size=40)
-
-    def run():
-        rows = []
-        for name, stream in (("smooth (weather)", smooth), ("bursty", bursty)):
-            row = {"stream": name}
-            for selection in ("first", "largest"):
-                tree = Swat(N, k=4, selection=selection, use_raw_leaves=False)
-                row[selection] = _window_error(tree, stream)
-            rows.append(row)
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    report(
-        format_table(
-            rows,
-            "Ablation: coefficient selection per node (k=4, N=256)\n"
-            "(largest-k pays off exactly where energy is concentrated)",
-        )
-    )
-    bursty_row = next(r for r in rows if r["stream"] == "bursty")
-    assert bursty_row["largest"] <= bursty_row["first"] + 1e-9

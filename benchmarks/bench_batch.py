@@ -280,7 +280,9 @@ def test_batch_ingest_speedup(benchmark, report):
         rounds=1,
         iterations=1,
     )
-    report(_format(ingest, measure_query(5)))
+    query = measure_query(5)
+    query.update(measure_ensemble(2))
+    report(_format(ingest, query))
     floor = MIN_SPEEDUP_QUICK if quick else MIN_SPEEDUP_FULL
     assert ingest["speedup"] >= floor
 

@@ -14,9 +14,7 @@ budgeted control loop over a :class:`~repro.core.multi.StreamEnsemble`:
   :class:`ReplicaGovernor` for cache-row budgets on replicated sites and
   the Section 2.6 error-bound oracle :func:`query_error_bound`;
 * :mod:`repro.control.shedding` — ingest backpressure
-  (:class:`ArrivalQueue`) and query admission control
-  (:class:`QueryAdmission`, :exc:`AdmissionError`,
-  :func:`degraded_answer`).
+  (:class:`ArrivalQueue`).
 
 Everything here is deterministic and acts only at phase boundaries, so the
 shake sanitizer and the bit-identity guarantees of the batched paths are
@@ -32,7 +30,7 @@ from .governor import (
     query_error_bound,
     save_governor,
 )
-from .shedding import AdmissionError, ArrivalQueue, QueryAdmission, degraded_answer
+from .shedding import ArrivalQueue
 
 __all__ = [
     "MemoryLedger",
@@ -43,7 +41,4 @@ __all__ = [
     "save_governor",
     "load_governor",
     "ArrivalQueue",
-    "QueryAdmission",
-    "AdmissionError",
-    "degraded_answer",
 ]

@@ -15,8 +15,9 @@ tests in ``tests/test_error_bounds.py``.
 
 :func:`require_finite` is the one gate every ingest path shares: stream
 values must be finite and at most :data:`MAX_STREAM_MAGNITUDE` in magnitude,
-checked before any state changes.  Query weights and restored checkpoint
-state keep a finiteness-only check.
+checked before any state changes.  Restored checkpoints hold their raw
+stream values to the same limit; query weights and restored coefficients
+keep a finiteness-only check.
 """
 
 from __future__ import annotations

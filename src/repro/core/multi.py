@@ -22,10 +22,11 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Seque
 import numpy as np
 
 from ..control.accounting import MemoryLedger
-from ..control.shedding import AdmissionError, ArrivalQueue, QueryAdmission, degraded_answer
+from ..control.shedding import ArrivalQueue
 from ..obs import causal as causal_mod
 from ..obs import metrics as obs
 from .engine import QueryEngine
+from .errors import MAX_STREAM_MAGNITUDE, require_finite
 from .queries import InnerProductQuery
 from .swat import QueryAnswer, Swat
 
@@ -55,11 +56,10 @@ class StreamEnsemble:
         self.causal = causal_mod.current_causal()
         # Resource-control plumbing (repro.control): the ledger tracks
         # per-stream summary bytes (refreshed on block ingest and at phase
-        # boundaries — never per arrival); governor/admission/queue stay
-        # None unless attached, and a None value is free on the hot paths.
+        # boundaries — never per arrival); governor/queue stay None unless
+        # attached, and a None value is free on the hot paths.
         self.ledger = MemoryLedger()
         self.governor: Optional["ResourceGovernor"] = None
-        self.admission: Optional[QueryAdmission] = None
         self._arrival_queue: Optional[ArrivalQueue] = None
         self._ticks = 0
 
@@ -95,25 +95,14 @@ class StreamEnsemble:
         self.governor = governor
         governor.on_phase(self._ticks // max(1, self.window_size >> 1))
 
-    def attach_shedding(
-        self,
-        queue_capacity_ticks: Optional[int] = None,
-        *,
-        admission: Optional[QueryAdmission] = None,
-    ) -> None:
-        """Enable load shedding: a bounded arrival queue, query admission, or both.
+    def attach_shedding(self, queue_capacity_ticks: int) -> None:
+        """Enable load shedding through a bounded arrival queue.
 
-        With a queue attached, producers call :meth:`offer_columns` /
-        :meth:`ingest_pending` instead of :meth:`extend_columns`; overflow
-        ticks are dropped deterministically (newest first) and counted under
-        ``shed.*``.  ``admission`` bounds full-fidelity queries per phase;
-        over-budget batches degrade to coarse answers or raise
-        :exc:`~repro.control.shedding.AdmissionError` per its configuration.
+        Producers then call :meth:`offer_columns` / :meth:`ingest_pending`
+        instead of :meth:`extend_columns`; overflow ticks are dropped
+        deterministically (newest first) and counted under ``shed.*``.
         """
-        if queue_capacity_ticks is not None:
-            self._arrival_queue = ArrivalQueue(queue_capacity_ticks)
-        if admission is not None:
-            self.admission = admission
+        self._arrival_queue = ArrivalQueue(queue_capacity_ticks)
 
     @property
     def arrival_queue(self) -> Optional[ArrivalQueue]:
@@ -171,8 +160,6 @@ class StreamEnsemble:
         if half <= 0 or (after // half) == (before // half):
             return
         for phase in range(before // half + 1, after // half + 1):
-            if self.admission is not None:
-                self.admission.on_phase()
             if self.governor is not None:
                 self.governor.on_phase(phase)
             else:
@@ -212,7 +199,9 @@ class StreamEnsemble:
         """Ingest one synchronized tick: ``{stream_name: value}``.
 
         Every registered stream must receive a value each tick so windows
-        stay aligned (correlation needs index-aligned reconstructions).
+        stay aligned (correlation needs index-aligned reconstructions).  The
+        whole tick is validated before any tree ingests, so a rejected tick
+        leaves every stream unchanged.
         """
         missing = set(self._trees) - set(values)
         if missing:
@@ -220,8 +209,10 @@ class StreamEnsemble:
         unknown = set(values) - set(self._trees)
         if unknown:
             raise KeyError(f"unknown streams {sorted(unknown)}")
-        for name, value in values.items():
-            self._trees[name].update(float(value))
+        tick = np.array([float(v) for v in values.values()], dtype=np.float64)
+        require_finite(tick, limit=MAX_STREAM_MAGNITUDE)
+        for name, value in zip(values, tick):
+            self._trees[name].update(value)
         self._ticks += 1
         self._after_ingest(self._ticks - 1, self._ticks)
 
@@ -260,7 +251,9 @@ class StreamEnsemble:
         values (tick ``i`` of each block is one synchronized row).  The trees
         are independent, so each column goes straight through the batched
         :meth:`Swat.extend` — the natural layout for bulk replay from
-        columnar sources.
+        columnar sources.  Every value of the block is validated before the
+        first tree ingests, so a rejected block leaves every stream
+        unchanged.
         """
         missing = set(self._trees) - set(columns)
         if missing:
@@ -279,6 +272,10 @@ class StreamEnsemble:
                 "— synchronized streams need one value per tick for every stream"
             )
         n_ticks = int(next(iter(blocks.values())).size) if blocks else 0
+        if blocks:
+            require_finite(
+                np.concatenate(list(blocks.values())), limit=MAX_STREAM_MAGNITUDE
+            )
         for name, block in blocks.items():
             tree = self._trees[name]
             tree.extend(block)
@@ -308,18 +305,6 @@ class StreamEnsemble:
         if unknown:
             raise KeyError(f"unknown streams {sorted(unknown)}")
         total = sum(len(queries_by_stream[n]) for n in names)
-        if self.admission is not None and not self.admission.try_admit(total):
-            if not self.admission.degrade:
-                raise AdmissionError(
-                    f"{total} queries refused: per-phase admission budget of "
-                    f"{self.admission.max_queries_per_phase} is exhausted"
-                )
-            if obs.ENABLED:
-                obs.counter("shed.queries_degraded").inc(total)
-            return {
-                n: [degraded_answer(self._trees[n], q) for q in queries_by_stream[n]]
-                for n in names
-            }
         _t0 = causal_mod.block_start(self.causal)
         root, _ = causal_mod.open_span(
             self.causal, span_name, at=_t0, site="ensemble", streams=len(names), queries=total

@@ -6,7 +6,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..wavelets.haar import haar_average, haar_reconstruct, sparse_reconstruct
+from ..wavelets.haar import haar_average, haar_reconstruct
 from ..wavelets.transform import reconstruct as _generic_reconstruct
 
 __all__ = ["Role", "SwatNode"]
@@ -48,7 +48,6 @@ class SwatNode:
         "coeffs",
         "end_time",
         "deviation",
-        "positions",
         "version",
         "_recon",
         "_recon_wavelet",
@@ -62,9 +61,6 @@ class SwatNode:
         # Optional certified bound on max |true value - reconstruction| over
         # the segment (Section 3's "range denoting the maximum deviation").
         self.deviation: Optional[float] = None
-        # Flat positions of the retained coefficients for largest-k trees;
-        # None means the dense first-k layout.
-        self.positions: Optional[np.ndarray] = None
         # Content-change counter; every set_contents/copy_from bumps it so
         # caches keyed on (node, version) can never alias stale contents.
         self.version: int = 0
@@ -80,17 +76,11 @@ class SwatNode:
     def nbytes(self) -> int:
         """Array bytes held by the node's contents (analytic, exact).
 
-        Counts the coefficient vector plus the largest-``k`` position vector
-        when present — the state that actually scales with ``k``.  The memoized
-        reconstruction is a derived cache, not summary state, and is excluded
-        (it is dropped on every refresh anyway).
+        Counts the coefficient vector — the state that actually scales with
+        ``k``.  The memoized reconstruction is a derived cache, not summary
+        state, and is excluded (it is dropped on every refresh anyway).
         """
-        total = 0
-        if self.coeffs is not None:
-            total += int(self.coeffs.nbytes)
-        if self.positions is not None:
-            total += int(self.positions.nbytes)
-        return total
+        return 0 if self.coeffs is None else int(self.coeffs.nbytes)
 
     @property
     def is_filled(self) -> bool:
@@ -134,12 +124,10 @@ class SwatNode:
         coeffs: np.ndarray,
         end_time: int,
         deviation: Optional[float] = None,
-        positions: Optional[np.ndarray] = None,
     ) -> None:
         self.coeffs = coeffs
         self.end_time = end_time
         self.deviation = deviation
-        self.positions = positions
         self.version += 1
         self._recon = None
         self._recon_wavelet = None
@@ -149,7 +137,6 @@ class SwatNode:
         self.coeffs = other.coeffs
         self.end_time = other.end_time
         self.deviation = other.deviation
-        self.positions = other.positions
         self.version += 1
         # Identical contents reconstruct identically, so the shift can adopt
         # the donor's cached reconstruction instead of invalidating; the
@@ -170,9 +157,7 @@ class SwatNode:
         coeffs = self.coeffs
         if coeffs is None:
             raise ValueError(f"node {self!r} holds no approximation yet")
-        if self.positions is not None:
-            out = sparse_reconstruct(self.positions, coeffs, self.segment_length)
-        elif wavelet in ("haar", "db1"):
+        if wavelet in ("haar", "db1"):
             out = haar_reconstruct(coeffs, self.segment_length)
         else:
             out = _generic_reconstruct(coeffs, self.segment_length, wavelet)

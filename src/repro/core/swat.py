@@ -39,9 +39,7 @@ from ..wavelets.haar import (
     batch_leaf_coeffs,
     combine_haar,
     haar_average,
-    largest_coefficients,
     leaf_coeffs,
-    sparse_combine,
 )
 from ..wavelets.transform import full_decompose, is_power_of_two, truncate
 from .coverage import Cover, build_cover
@@ -127,11 +125,6 @@ class Swat:
         (Section 3's "range denoting the maximum deviation").  Answers then
         carry an ``error_bound`` and :meth:`can_answer` checks a query's
         precision requirement.  Defined for 1-coefficient Haar trees.
-    selection:
-        Which ``k`` coefficients a node retains: ``"first"`` (the coarsest
-        ``k``, the paper's default reading) or ``"largest"`` (the top-``k``
-        by magnitude — the classical Gilbert et al. choice; better on bursty
-        data, needs position bookkeeping).  Haar only for ``"largest"``.
     check_invariants:
         Run :func:`repro.contracts.check_swat` after every update.  ``None``
         (the default) defers to the ``REPRO_CHECK_INVARIANTS`` environment
@@ -146,7 +139,6 @@ class Swat:
         min_level: int = 0,
         use_raw_leaves: bool = True,
         track_deviation: bool = False,
-        selection: str = "first",
         check_invariants: Optional[bool] = None,
     ) -> None:
         if not is_power_of_two(window_size) or window_size < 4:
@@ -161,16 +153,6 @@ class Swat:
                 "deviation tracking is defined for 1-coefficient Haar trees "
                 "(the Section 3 setting)"
             )
-        if selection not in ("first", "largest"):
-            raise ValueError(f"selection must be 'first' or 'largest', got {selection!r}")
-        if selection == "largest" and wavelet not in ("haar", "db1"):
-            raise ValueError("largest-k selection is implemented for the Haar basis")
-        if selection == "largest" and track_deviation:
-            raise ValueError(
-                "deviation tracking uses the first-k (k=1) layout; largest-k "
-                "with k=1 is identical to it anyway"
-            )
-        self.selection = selection
         self.track_deviation = bool(track_deviation)
         self.window_size = window_size
         self.k = int(k)
@@ -330,8 +312,8 @@ class Swat:
                 lv[Role.SHIFT].copy_from(lv[Role.RIGHT])
             fresh = self._fresh_right(level, t)
             if fresh is not None:
-                coeffs, deviation, positions = fresh
-                lv[Role.RIGHT].set_contents(coeffs, t, deviation, positions)
+                coeffs, deviation = fresh
+                lv[Role.RIGHT].set_contents(coeffs, t, deviation)
         if self._settling and self._is_on_cadence():
             self._settling = False
         if self._check_invariants:
@@ -350,14 +332,14 @@ class Swat:
     def extend(self, values: Iterable[float]) -> None:
         """Ingest many values in arrival order.
 
-        Haar trees with first-``k`` selection take the vectorized block
-        cascade of :meth:`_extend_batch` — ``O(B log N)`` NumPy work for a
-        block of ``B`` arrivals, bit-identical to replaying :meth:`update`
-        value by value.  Generic wavelets and largest-``k`` trees fall back
-        to the scalar loop, as does a tree still settling after a
-        :meth:`reconfigure` (the batch cascade's inter-block carry assumes
-        an undisturbed shift pipeline).  Either way the whole block is
-        validated before the first value is ingested.
+        Haar trees take the vectorized block cascade of
+        :meth:`_extend_batch` — ``O(B log N)`` NumPy work for a block of
+        ``B`` arrivals, bit-identical to replaying :meth:`update` value by
+        value.  Generic wavelets fall back to the scalar loop, as does a
+        tree still settling after a :meth:`reconfigure` (the batch
+        cascade's inter-block carry assumes an undisturbed shift pipeline).
+        Either way the whole block is validated before the first value is
+        ingested.
         """
         if isinstance(values, np.ndarray):
             block = np.asarray(values, dtype=np.float64)
@@ -367,7 +349,7 @@ class Swat:
             raise ValueError(
                 f"extend expects a flat sequence of values, got shape {block.shape}"
             )
-        if self._is_haar and self.selection == "first" and not self._settling:
+        if self._is_haar and not self._settling:
             self._extend_batch(block)
             return
         require_finite(block, limit=MAX_STREAM_MAGNITUDE)
@@ -533,33 +515,28 @@ class Swat:
 
     def _fresh_right(
         self, level: int, t: int
-    ) -> Optional[Tuple[np.ndarray, Optional[float], Optional[np.ndarray]]]:
-        """New contents of ``R_level``: ``(coeffs, deviation, positions)``.
+    ) -> Optional[Tuple[np.ndarray, Optional[float]]]:
+        """New contents of ``R_level``: ``(coeffs, deviation)``.
 
         ``deviation`` is a certified bound on max |true - reconstruction|
-        over the node's segment when ``track_deviation`` is on, else None;
-        ``positions`` carries the retained flat positions for largest-k
-        trees, else None.
+        over the node's segment when ``track_deviation`` is on, else None.
         """
         if level == self.min_level:
             seg_len = 1 << (level + 1)
             if len(self._buffer) < seg_len:
                 return None  # cold start: segment not fully observed yet
-            if level == 0 and self._is_haar and self.selection == "first":
+            if level == 0 and self._is_haar:
                 # Hot path: level 0 refreshes on *every* arrival; avoid the
                 # generic transform machinery for its two-point segment.
                 newer, older = self._buffer[-1], self._buffer[-2]
                 deviation = abs(newer - older) / 2.0 if self.track_deviation else None
-                return leaf_coeffs(newer, older, self.k), deviation, None
+                return leaf_coeffs(newer, older, self.k), deviation
             segment = np.fromiter(self._buffer, dtype=np.float64, count=seg_len)
             flat = full_decompose(segment, self.wavelet)
             deviation = None
             if self.track_deviation:
                 deviation = float(np.abs(segment - segment.mean()).max())
-            if self.selection == "largest":
-                positions, coeffs = largest_coefficients(flat, self.k)
-                return coeffs, deviation, positions
-            return truncate(flat, self.k), deviation, None
+            return truncate(flat, self.k), deviation
         below = self._levels[level - 1]
         older, newer = below[Role.LEFT], below[Role.RIGHT]
         older_coeffs, newer_coeffs = older.coeffs, newer.coeffs
@@ -573,11 +550,6 @@ class Swat:
             # Combining here would stamp old contents with a fresh end_time,
             # so skip the refresh until the children re-align.
             return None
-        if self.selection == "largest":
-            positions, coeffs = sparse_combine(
-                older.positions, older_coeffs, newer.positions, newer_coeffs, self.k
-            )
-            return coeffs, None, positions
         if self._is_haar:
             coeffs = combine_haar(older_coeffs, newer_coeffs, self.k)
             seg_len = 1 << (level + 1)
@@ -598,9 +570,9 @@ class Swat:
                     older.deviation + abs(older.average() - parent_avg),
                     newer.deviation + abs(newer.average() - parent_avg),
                 )
-            return coeffs, deviation, None
+            return coeffs, deviation
         joined = np.concatenate([older.reconstruct(self.wavelet), newer.reconstruct(self.wavelet)])
-        return truncate(full_decompose(joined, self.wavelet), self.k), None, None
+        return truncate(full_decompose(joined, self.wavelet), self.k), None
 
     # -------------------------------------------------------- reconfiguration
 
@@ -649,11 +621,6 @@ class Swat:
                     f"reconfigure to k={new_k}"
                 )
             if new_k != self.k:
-                if new_k < self.k and self.selection == "largest":
-                    raise ValueError(
-                        "cannot truncate a largest-k tree: retained "
-                        "coefficients are not prefix-nested"
-                    )
                 if new_k < self.k:
                     for lv in self._levels:
                         for node in lv.values():
@@ -663,7 +630,6 @@ class Swat:
                                     coeffs[:new_k].copy(),
                                     node.end_time,
                                     node.deviation,
-                                    None,
                                 )
                 self.k = new_k
                 changed = True
@@ -832,7 +798,10 @@ class Swat:
         would otherwise serialize as the non-standard ``NaN``/``Infinity``
         JSON tokens and poison strict consumers, so the checkpoint fails
         loudly here instead (``json.dumps(state, allow_nan=False)`` is then
-        always safe).
+        always safe).  The fixed ``"selection": "first"`` and per-node
+        ``"positions": None`` fields keep the checkpoint format, and so every
+        state digest, what earlier versions wrote; :meth:`from_state`
+        refuses any other value.
         """
         nodes: List[Dict[str, object]] = []
         for level, lv in enumerate(self._levels):
@@ -851,11 +820,7 @@ class Swat:
                             "end_time": node.end_time,
                             "coeffs": [float(c) for c in coeffs],
                             "deviation": node.deviation,
-                            "positions": (
-                                None
-                                if node.positions is None
-                                else [int(p) for p in node.positions]
-                            ),
+                            "positions": None,
                         }
                     )
         buffer = [float(v) for v in self._buffer]
@@ -868,7 +833,7 @@ class Swat:
             "min_level": self.min_level,
             "use_raw_leaves": self.use_raw_leaves,
             "track_deviation": self.track_deviation,
-            "selection": self.selection,
+            "selection": "first",
             "time": self._time,
             "buffer": buffer,
             "nodes": nodes,
@@ -883,13 +848,23 @@ class Swat:
         The state is validated before it is trusted: node levels must fall in
         the maintained range, coefficient vectors may not exceed ``k``,
         ``end_time`` may not sit in the future of the restored arrival clock,
-        and every float must be finite.  When invariant checking is enabled
+        every coefficient must be finite, and every ring-buffer value must
+        pass the same :data:`~repro.core.errors.MAX_STREAM_MAGNITUDE` limit
+        as live ingest.  A state that kept its top-``k`` coefficients by
+        magnitude (a ``selection`` other than ``"first"``, or node
+        ``positions``) is refused: read as first-``k`` coefficients it would
+        serve wrong answers.  When invariant checking is enabled
         (explicit argument or ``REPRO_CHECK_INVARIANTS``) the full
         :func:`repro.contracts.check_swat` contract runs on the result.  Any
         violation raises :exc:`ValueError` — a corrupt checkpoint must fail
         the restore, not quietly produce wrong answers later.
         """
         try:
+            selection = state.get("selection", "first")
+            if selection != "first":
+                raise _malformed(
+                    f"selection={selection!r}: only first-k summaries restore"
+                )
             tree = cls(
                 state["window_size"],
                 k=state["k"],
@@ -897,7 +872,6 @@ class Swat:
                 min_level=state["min_level"],
                 use_raw_leaves=state["use_raw_leaves"],
                 track_deviation=state.get("track_deviation", False),
-                selection=state.get("selection", "first"),
                 check_invariants=check_invariants,
             )
             now = int(state["time"])
@@ -911,10 +885,14 @@ class Swat:
                 raise _malformed(
                     f"buffer holds {len(buffer)} values, ring capacity is {maxlen}"
                 )
-            if buffer and not bool(
-                np.isfinite(np.asarray(buffer, dtype=np.float64)).all()
-            ):
-                raise _malformed("ring buffer contains non-finite values")
+            try:
+                require_finite(
+                    np.asarray(buffer, dtype=np.float64),
+                    "ring buffer",
+                    limit=MAX_STREAM_MAGNITUDE,
+                )
+            except ValueError as exc:
+                raise _malformed(str(exc)) from exc
             tree._buffer.extend(buffer)
             for entry in state["nodes"]:
                 level = int(entry["level"])
@@ -950,16 +928,12 @@ class Swat:
                         raise _malformed(
                             f"node {role}{level} deviation is non-finite"
                         )
-                positions = entry.get("positions")
-                pos_arr: Optional[np.ndarray] = None
-                if positions is not None:
-                    pos_arr = np.asarray(positions, dtype=np.int64)
-                    if pos_arr.shape != coeffs.shape:
-                        raise _malformed(
-                            f"node {role}{level} has {pos_arr.size} positions "
-                            f"for {coeffs.size} coefficients"
-                        )
-                lv[role].set_contents(coeffs, end_time, deviation, pos_arr)
+                if entry.get("positions") is not None:
+                    raise _malformed(
+                        f"node {role}{level} carries largest-k positions; "
+                        "only first-k summaries restore"
+                    )
+                lv[role].set_contents(coeffs, end_time, deviation)
         except (KeyError, IndexError, TypeError) as exc:
             raise ValueError(f"malformed Swat state: {exc}") from exc
         if tree._check_invariants:
@@ -988,7 +962,6 @@ class Swat:
             "min_level",
             "use_raw_leaves",
             "track_deviation",
-            "selection",
         ):
             if getattr(tree, attr) != getattr(self, attr):
                 raise _malformed(
@@ -1030,5 +1003,4 @@ def _set_from_batch(
         rows[i].copy(),
         first + i * step,
         None if devs is None else float(devs[i]),
-        None,
     )

@@ -2,8 +2,8 @@
 
 * **fixed query mode** — the same inner-product query over the most recent
   values is executed at every query point;
-* **random query mode** — each query point draws a fresh query whose start
-  index and length are chosen uniformly within the window.
+* **random query mode** — each query point draws a fresh query over a
+  uniformly random subset of window indices of uniformly random size.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ from ..core.queries import InnerProductQuery, exponential_query, linear_query
 __all__ = ["FixedWorkload", "RandomWorkload", "make_query", "QUERY_KINDS"]
 
 QUERY_KINDS = ("exponential", "linear")
+
+#: Smallest query size :class:`RandomWorkload` draws.
+MIN_LENGTH = 2
 
 
 def make_query(
@@ -64,13 +67,7 @@ class RandomWorkload:
         ``"exponential"`` or ``"linear"``.
     max_length:
         Largest query size drawn (default ``window_size``); sizes are uniform
-        on ``[min_length, max_length]``.
-    min_length:
-        Smallest query size drawn (default 2).
-    consecutive:
-        If True, draw a consecutive run ``[start, start + M)`` with a uniform
-        start instead of an arbitrary subset (an alternative reading of the
-        paper's random mode, kept for ablations).
+        on ``[MIN_LENGTH, max_length]``.
     precision_low, precision_high:
         If given, each query carries a precision drawn uniformly from this
         range (used by the replication experiments); otherwise precision is
@@ -84,8 +81,6 @@ class RandomWorkload:
         window_size: int,
         kind: str = "exponential",
         max_length: Optional[int] = None,
-        min_length: int = 2,
-        consecutive: bool = False,
         precision_low: Optional[float] = None,
         precision_high: Optional[float] = None,
         seed: Optional[int] = 0,
@@ -96,11 +91,9 @@ class RandomWorkload:
             raise ValueError("window_size must be >= 2")
         self.window_size = window_size
         self.kind = kind
-        self.consecutive = consecutive
-        self.min_length = max(1, min_length)
         self.max_length = window_size if max_length is None else min(max_length, window_size)
-        if self.max_length < self.min_length:
-            raise ValueError("max_length must be >= min_length")
+        if self.max_length < MIN_LENGTH:
+            raise ValueError(f"max_length must be >= {MIN_LENGTH}")
         if (precision_low is None) != (precision_high is None):
             raise ValueError("set both or neither of precision_low/precision_high")
         self.precision_low = precision_low
@@ -114,11 +107,8 @@ class RandomWorkload:
 
     def next(self) -> InnerProductQuery:
         """Draw one query."""
-        length = int(self._rng.integers(self.min_length, self.max_length + 1))
+        length = int(self._rng.integers(MIN_LENGTH, self.max_length + 1))
         precision = self._draw_precision()
-        if self.consecutive:
-            start = int(self._rng.integers(0, self.window_size - length + 1))
-            return make_query(self.kind, length, start=start, precision=precision)
         indices = np.sort(
             self._rng.choice(self.window_size, size=length, replace=False)
         )
@@ -134,5 +124,5 @@ class RandomWorkload:
     def __repr__(self) -> str:
         return (
             f"RandomWorkload(N={self.window_size}, kind={self.kind!r}, "
-            f"len=[{self.min_length},{self.max_length}])"
+            f"len=[{MIN_LENGTH},{self.max_length}])"
         )

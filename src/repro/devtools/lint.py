@@ -53,7 +53,7 @@ REP011    no per-query Python loops feeding ``<swat-like>.answer`` /
           (shape, phase) and stays bit-identical (read-side mirror of
           REP006)
 REP012    no direct mutation of summary tuning state (``k``,
-          ``min_level``, node ``coeffs`` / ``positions``) outside
+          ``min_level``, node ``coeffs``) outside
           ``repro.control`` and ``repro.core.swat`` / ``repro.core.node``
           — reconfiguration must go through ``Swat.reconfigure`` (or the
           governor) so query-plan epochs bump and the byte ledger stays
@@ -553,7 +553,7 @@ def _check_rep007(tree: ast.Module, path: str) -> Iterator[Finding]:
 #: to one of these from arbitrary code bypasses ``Swat.reconfigure`` — no
 #: epoch bump (stale compiled query plans), no ledger update (wrong byte
 #: accounting), no settling discipline (cadence invariant violations).
-_TUNING_ATTRS = frozenset({"k", "min_level", "coeffs", "positions"})
+_TUNING_ATTRS = frozenset({"k", "min_level", "coeffs"})
 _TUNING_RECEIVER_RE = re.compile(r"swat|tree|node", re.IGNORECASE)
 _TUNING_CLASS_RE = re.compile(r"swat|node", re.IGNORECASE)
 

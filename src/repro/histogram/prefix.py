@@ -187,8 +187,9 @@ class PrefixStats:
 
         Raises :exc:`ValueError` when the state is structurally inconsistent
         (bounds outside the allocation, array lengths that disagree with the
-        bounds, non-finite contents) — the same fail-on-restore contract as
-        :meth:`repro.core.swat.Swat.from_state`.
+        bounds, non-finite sums, window values past the live ingest limit
+        :data:`~repro.core.errors.MAX_STREAM_MAGNITUDE`) — the same
+        fail-on-restore contract as :meth:`repro.core.swat.Swat.from_state`.
         """
         try:
             ring = cls(int(state["window_size"]))
@@ -214,11 +215,11 @@ class PrefixStats:
                 "malformed PrefixStats state: array lengths do not match the "
                 "window bounds"
             )
-        if not bool(
-            np.isfinite(values).all()
-            and np.isfinite(csum).all()
-            and np.isfinite(csq).all()
-        ):
+        try:
+            require_finite(values, "window values", limit=MAX_STREAM_MAGNITUDE)
+        except ValueError as exc:
+            raise ValueError(f"malformed PrefixStats state: {exc}") from exc
+        if not bool(np.isfinite(csum).all() and np.isfinite(csq).all()):
             raise ValueError("malformed PrefixStats state: non-finite contents")
         ring._start, ring._end = start, end
         ring._values[start:end] = values

@@ -71,13 +71,6 @@ class MessageStats:
         """Total messages across all kinds (the paper's cost metric)."""
         return sum(self._counts.values())
 
-    def weighted_total(self, control_cost: float = 1.0) -> float:
-        """Total with control messages weighted by ``control_cost`` (DC's ``w``)."""
-        total = 0.0
-        for kind, n in self._counts.items():
-            total += n * (1.0 if kind in MessageKind.DATA_KINDS else control_cost)
-        return total
-
     def snapshot(self) -> Dict[str, int]:
         return {kind: self._counts[kind] for kind in MessageKind.ALL}
 

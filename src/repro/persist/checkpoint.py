@@ -156,7 +156,7 @@ def pack_swat_state(state: Dict[str, Any]) -> Dict[str, Any]:
     """Convert a ``Swat.to_state()`` dict's numeric lists to ndarrays.
 
     ``Swat.to_state`` emits plain JSON lists; checkpoints store coefficient
-    vectors, positions, and the raw ring buffer in the NPZ section instead.
+    vectors and the raw ring buffer in the NPZ section instead.
     ``Swat.from_state`` accepts arrays wherever it accepts lists, so the
     packed dict restores without an unpacking step.
     """
@@ -166,8 +166,6 @@ def pack_swat_state(state: Dict[str, Any]) -> Dict[str, Any]:
     for entry in state["nodes"]:
         node = dict(entry)
         node["coeffs"] = np.asarray(entry["coeffs"], dtype=np.float64)
-        if entry.get("positions") is not None:
-            node["positions"] = np.asarray(entry["positions"], dtype=np.int64)
         nodes.append(node)
     packed["nodes"] = nodes
     return packed

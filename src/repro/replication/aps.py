@@ -10,11 +10,13 @@ Caches an interval ``[L, H]`` per client per window item:
   interval *shrunk* by ``(1 + alpha)``.
 
 The paper runs it with the recommended settings ``alpha = 1``,
-``tau_inf = inf``, ``tau_0 = 2``, ``p = 1``: widths double under write
-pressure and halve under read pressure; widths below ``tau_0`` snap to exact
-caching, and growth from an exact cache restarts at ``tau_0`` (the interval
-must widen for the scheme to adapt, per the paper's description of APS
-"choosing bigger intervals that approach the upper threshold").
+``tau_inf = inf``, ``tau_0 = 2``, ``p = 1``, and so does this class (they
+are the constants :data:`ALPHA` and :data:`TAU_0`; an infinite ``tau_inf``
+caps nothing): widths double under write pressure and halve under read
+pressure; widths below ``tau_0`` snap to exact caching, and growth from an
+exact cache restarts at ``tau_0`` (the interval must widen for the scheme to
+adapt, per the paper's description of APS "choosing bigger intervals that
+approach the upper threshold").
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ from .base import ReplicationProtocol, per_index_tolerances
 
 __all__ = ["AdaptivePrecision"]
 
+#: Width growth/shrink factor is ``1 + ALPHA`` (§4.2's recommended alpha).
+ALPHA = 1.0
+#: Lower width threshold: narrower intervals snap to exact caching.
+TAU_0 = 2.0
+
 
 class AdaptivePrecision(ReplicationProtocol):
     """APS over a spanning tree, one cached interval per window item."""
@@ -43,21 +50,11 @@ class AdaptivePrecision(ReplicationProtocol):
         topology: Topology,
         window_size: int,
         value_range: Tuple[float, float] = (0.0, 100.0),
-        alpha: float = 1.0,
-        tau_0: float = 2.0,
-        tau_inf: float = float("inf"),
     ) -> None:
         super().__init__(topology, window_size)
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if tau_0 < 0 or tau_inf < tau_0:
-            raise ValueError("need 0 <= tau_0 <= tau_inf")
         lo, hi = value_range
         if hi <= lo:
             raise ValueError("value_range must be non-degenerate")
-        self.alpha = alpha
-        self.tau_0 = tau_0
-        self.tau_inf = tau_inf
         self.value_low = lo
         self.max_range = hi - lo
         # Per client: interval bounds per item.  Width == max_range behaves
@@ -80,8 +77,7 @@ class AdaptivePrecision(ReplicationProtocol):
             n = int(np.count_nonzero(escaped))
             if n:
                 widths = hi[escaped] - lo[escaped]
-                new_widths = np.maximum(widths * (1.0 + self.alpha), self.tau_0)
-                new_widths = np.minimum(new_widths, self.tau_inf)
+                new_widths = np.maximum(widths * (1.0 + ALPHA), TAU_0)
                 new_widths = np.minimum(new_widths, self.max_range)
                 lo[escaped] = vals[escaped] - new_widths / 2.0
                 hi[escaped] = vals[escaped] + new_widths / 2.0
@@ -143,8 +139,8 @@ class AdaptivePrecision(ReplicationProtocol):
                         category=MessageKind.category(MessageKind.RESPONSE),
                     )
                 estimate = self.window[idx]
-                new_width = width / (1.0 + self.alpha)
-                if new_width < self.tau_0:
+                new_width = width / (1.0 + ALPHA)
+                if new_width < TAU_0:
                     new_width = 0.0  # exact caching
                 centre = estimate - self.value_low
                 lo[idx] = centre - new_width / 2.0

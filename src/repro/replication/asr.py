@@ -29,7 +29,6 @@ import logging
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .. import contracts
-from ..core.coverage import CoverageError
 from ..core.queries import InnerProductQuery
 from ..core.swat import Swat
 from ..network.directory import Directory, Segment
@@ -61,31 +60,20 @@ class SwatAsr(ReplicationProtocol):
         self,
         topology: Topology,
         window_size: int,
-        use_summary_ranges: bool = False,
         check_invariants: Optional[bool] = None,
     ) -> None:
-        """``use_summary_ranges=True`` derives segment ranges from a
-        deviation-tracked 1-coefficient SWAT at the source — "the central
-        site which maintains summary of the stream" — instead of exact
-        min/max over the raw window.  Summary ranges are certified supersets
-        (average ± max deviation), so answers stay within precision; they are
-        somewhat wider, costing extra forwarding (quantified in tests).
+        """Segment ranges are the exact min/max over the source's raw window.
 
-        The source maintains its SWAT either way (the paper's central site
-        does by definition, and it feeds the ``swat.*`` metrics of
-        :mod:`repro.obs`); only range derivation depends on the flag."""
+        The source also maintains a SWAT over the stream (the paper's
+        central site does by definition), which feeds the ``swat.*``
+        metrics of :mod:`repro.obs`; ranges do not read it."""
         super().__init__(topology, window_size)
         self.sites: Dict[str, Directory] = {
             node: Directory(window_size) for node in topology.nodes
         }
         self._segments = self.sites[topology.root].segments
-        self.use_summary_ranges = bool(use_summary_ranges)
         self._check_invariants = contracts.resolve_check_flag(check_invariants)
-        self._summary = Swat(
-            window_size,
-            track_deviation=use_summary_ranges,
-            check_invariants=self._check_invariants,
-        )
+        self._summary = Swat(window_size, check_invariants=self._check_invariants)
 
     # ------------------------------------------------------------- data path
 
@@ -101,7 +89,7 @@ class SwatAsr(ReplicationProtocol):
             self.causal, "update", at=now, site=self.topology.root, protocol=self.name
         )
         for seg in self._segments:
-            rng = self._segment_range(seg)
+            rng = self.window.segment_range(seg.newest, seg.oldest)
             self._apply_update(self.topology.root, seg, rng, at=now, ctx=ctx)
         if root_span is not None:
             root_span.finish(now)
@@ -128,26 +116,6 @@ class SwatAsr(ReplicationProtocol):
             self.causal, f"hop:{kind}", at=at, site=src, parent=ctx, dst=dst,
             category=MessageKind.category(kind),
         )
-
-    def _segment_range(self, seg: Segment) -> Tuple[float, float]:
-        if not self.use_summary_ranges:
-            return self.window.segment_range(seg.newest, seg.oldest)
-        # Range from the summary alone: for each node covering part of the
-        # segment, [avg - deviation, avg + deviation] encloses its true
-        # values, so the union of those intervals encloses the segment.
-        try:
-            cover = self._summary.cover(list(seg.indices()))
-        except CoverageError:
-            # A few nodes may still be unfilled right after the window first
-            # fills; the source always has the raw window to fall back on.
-            return self.window.segment_range(seg.newest, seg.oldest)
-        lo, hi = float("inf"), float("-inf")
-        for node in cover.assignments:
-            avg = node.average()
-            dev = node.deviation if node.deviation is not None else 0.0
-            lo = min(lo, avg - dev)
-            hi = max(hi, avg + dev)
-        return (lo, hi)
 
     def _apply_update(
         self,

@@ -38,6 +38,9 @@ from .base import ReplicationProtocol, per_index_tolerances
 __all__ = ["DivergenceCaching", "optimal_refresh_width"]
 
 EVENT_WINDOW = 23  # the window size used in [11] and kept by the paper
+#: ``w``, the cost of a control message relative to a data message; the
+#: paper prices both alike (§4.1).
+CONTROL_COST = 1.0
 
 
 def optimal_refresh_width(
@@ -45,7 +48,6 @@ def optimal_refresh_width(
     read_rate: float,
     write_rate: float,
     max_range: int,
-    control_cost: float = 1.0,
 ) -> int:
     """Minimum-expected-cost width ``k`` per the Section 4.1 formulas.
 
@@ -59,8 +61,6 @@ def optimal_refresh_width(
         Write arrivals per time unit (``lambda_w``).
     max_range:
         ``M``, the maximum possible range of the data value.
-    control_cost:
-        ``w``, the cost of a control message relative to a data message.
 
     Returns
     -------
@@ -73,7 +73,7 @@ def optimal_refresh_width(
             cost(M)  = (w + 1) * sum_t lambda_{r_t}
 
         where ``r(k) = sum_{t < k} lambda_{r_t}`` is the rate of *relevant*
-        (missing) reads at width ``k``.
+        (missing) reads at width ``k`` and ``w`` is :data:`CONTROL_COST`.
     """
     m = int(max_range)
     if m < 1:
@@ -86,9 +86,9 @@ def optimal_refresh_width(
     # r(k) = rate of reads with tolerance < k, for k = 0..M.
     r = np.concatenate([[0.0], np.cumsum(hist[:m])])
     k = np.arange(m + 1, dtype=np.float64)
-    cost = r * (1.0 + control_cost) + (m - k) / m * (write_rate + r)
+    cost = r * (1.0 + CONTROL_COST) + (m - k) / m * (write_rate + r)
     cost[0] = write_rate
-    cost[m] = (control_cost + 1.0) * (read_rate if tols.size else 0.0)
+    cost[m] = (CONTROL_COST + 1.0) * (read_rate if tols.size else 0.0)
     return int(np.argmin(cost))
 
 
@@ -118,7 +118,6 @@ class DivergenceCaching(ReplicationProtocol):
         topology: Topology,
         window_size: int,
         value_range: Tuple[float, float] = (0.0, 100.0),
-        control_cost: float = 1.0,
     ) -> None:
         super().__init__(topology, window_size)
         lo, hi = value_range
@@ -126,7 +125,6 @@ class DivergenceCaching(ReplicationProtocol):
             raise ValueError("value_range must be non-degenerate")
         self.value_low = lo
         self.max_range = int(np.ceil(hi - lo))
-        self.control_cost = control_cost
         self.clients: Dict[str, _ClientState] = {
             c: _ClientState(window_size, self.max_range) for c in self.topology.clients
         }
@@ -186,9 +184,7 @@ class DivergenceCaching(ReplicationProtocol):
             len(self._arrivals), self._arrivals[0] if self._arrivals else now, now
         )
         tols = np.array([t for __, t in events], dtype=np.int64)
-        return optimal_refresh_width(
-            tols, read_rate, write_rate, self.max_range, self.control_cost
-        )
+        return optimal_refresh_width(tols, read_rate, write_rate, self.max_range)
 
     # --------------------------------------------------------------- metrics
 

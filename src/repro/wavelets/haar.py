@@ -19,7 +19,6 @@ and costs ``O(k)``:
 from __future__ import annotations
 
 import math
-from typing import Tuple
 
 import numpy as np
 
@@ -34,10 +33,6 @@ __all__ = [
     "haar_average",
     "haar_reconstruct",
     "leaf_coeffs",
-    "parent_position",
-    "sparse_combine",
-    "sparse_reconstruct",
-    "largest_coefficients",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -220,111 +215,3 @@ def haar_reconstruct(coeffs: np.ndarray, length: int) -> np.ndarray:
         pos += size
         size *= 2
     return approx
-
-
-def parent_position(child_pos: int, is_newer: bool) -> int:
-    """Map a child detail coefficient's flat position into the parent's.
-
-    A child's band starting at ``s = 2^floor(log2(p))`` lands in the parent
-    band starting at ``2s``; the older child's entries come first.  Position
-    0 (the approximation) has no direct image — it is consumed by the
-    parent's approximation and coarsest detail.
-    """
-    if child_pos < 1:
-        raise ValueError("position 0 is consumed by the combine step")
-    s = 1 << (child_pos.bit_length() - 1)
-    return child_pos + s + (s if is_newer else 0)
-
-
-def _pow2_floor(pos: np.ndarray) -> np.ndarray:
-    """Largest power of two ``<= pos`` for each positive int64 entry (exact)."""
-    p = pos.astype(np.int64)
-    p |= p >> 1
-    p |= p >> 2
-    p |= p >> 4
-    p |= p >> 8
-    p |= p >> 16
-    p |= p >> 32
-    return (p + 1) >> 1
-
-
-def _parent_positions(child_pos: np.ndarray, is_newer: bool) -> np.ndarray:
-    """Vectorized :func:`parent_position` over an array of positions ``>= 1``."""
-    s = _pow2_floor(child_pos)
-    return child_pos + (2 * s if is_newer else s)
-
-
-def sparse_combine(
-    older_pos: np.ndarray,
-    older_val: np.ndarray,
-    newer_pos: np.ndarray,
-    newer_val: np.ndarray,
-    k: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Combine two largest-k sparse Haar summaries into the parent's.
-
-    Children store (positions, values) of their retained coefficients in the
-    flat coarse-to-fine layout; position 0 (the approximation) is always
-    retained.  The parent keeps its approximation plus the ``k - 1``
-    largest-magnitude remaining coefficients (the classical top-B selection
-    of Gilbert et al.).
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    older_pos = np.asarray(older_pos, dtype=np.int64)
-    newer_pos = np.asarray(newer_pos, dtype=np.int64)
-    older_val = np.asarray(older_val, dtype=np.float64)
-    newer_val = np.asarray(newer_val, dtype=np.float64)
-    a_l = float(older_val[0]) if older_pos.size and older_pos[0] == 0 else 0.0
-    a_r = float(newer_val[0]) if newer_pos.size and newer_pos[0] == 0 else 0.0
-    # Candidate order matters for tie-breaking and must match the historical
-    # scan: butterfly outputs first, then the older child's detail positions
-    # in stored order, then the newer child's.
-    keep_older = older_pos >= 1
-    keep_newer = newer_pos >= 1
-    pos = np.concatenate(
-        [
-            np.array([0, 1], dtype=np.int64),
-            _parent_positions(older_pos[keep_older], is_newer=False),
-            _parent_positions(newer_pos[keep_newer], is_newer=True),
-        ]
-    )
-    val = np.concatenate(
-        [
-            np.array([(a_l + a_r) / _SQRT2, (a_l - a_r) / _SQRT2], dtype=np.float64),
-            older_val[keep_older],
-            newer_val[keep_newer],
-        ]
-    )
-    if pos.size <= k:
-        order = np.argsort(pos)
-        return pos[order], val[order]
-    # Always keep the approximation (index 0 of cand arrays).
-    rest = np.argsort(-np.abs(val[1:]))[: k - 1] + 1
-    keep = np.concatenate([[0], rest])
-    keep = keep[np.argsort(pos[keep])]
-    return pos[keep], val[keep]
-
-
-def sparse_reconstruct(positions: np.ndarray, values: np.ndarray, length: int) -> np.ndarray:
-    """Reconstruct a segment from sparse (position, value) Haar coefficients."""
-    if not is_power_of_two(length):
-        raise ValueError(f"length must be a power of two, got {length}")
-    dense = np.zeros(length, dtype=np.float64)
-    pos = np.asarray(positions, dtype=np.int64)
-    if pos.size and (pos.min() < 0 or pos.max() >= length):
-        raise ValueError("coefficient positions outside the segment transform")
-    dense[pos] = np.asarray(values, dtype=np.float64)
-    return haar_reconstruct(dense, length)
-
-
-def largest_coefficients(flat: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Top-k selection of a dense flat vector (approximation always kept)."""
-    flat = np.asarray(flat, dtype=np.float64)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if flat.size <= k:
-        return np.arange(flat.size, dtype=np.int64), flat.copy()
-    rest = np.argsort(-np.abs(flat[1:]))[: k - 1] + 1
-    keep = np.sort(np.concatenate([[0], rest]))
-    return keep.astype(np.int64), flat[keep]

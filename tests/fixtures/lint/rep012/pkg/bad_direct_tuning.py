@@ -8,7 +8,6 @@ def shrink(tree):
 
 def clobber(node, new_coeffs):
     node.coeffs = new_coeffs[:2]  # REP012
-    node.positions = None  # REP012
 
 
 class FakeSwat:

@@ -19,5 +19,5 @@ class Scheduler:
         self.k += 1  # Scheduler doesn't match the swat/node class heuristic
 
 
-def unrelated_receiver(plan, positions):
-    plan.positions = positions  # `plan` doesn't match the receiver heuristic
+def unrelated_receiver(plan, coeffs):
+    plan.coeffs = coeffs  # `plan` doesn't match the receiver heuristic

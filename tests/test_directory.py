@@ -206,12 +206,6 @@ class TestMessageStats:
         assert s.count(MessageKind.QUERY) == 3
         assert s.total == 4
 
-    def test_weighted_total(self):
-        s = MessageStats()
-        s.record(MessageKind.QUERY, 2)  # control
-        s.record(MessageKind.UPDATE, 3)  # data
-        assert s.weighted_total(control_cost=0.5) == pytest.approx(2 * 0.5 + 3)
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             MessageStats().record("carrier-pigeon")

@@ -39,7 +39,7 @@ class TestRuleFixtures:
             ("REP009", fixture("rep009", "replication", "bad_iteration.py"), 3),
             ("REP010", fixture("rep010", "network", "bad_ambient.py"), 3),
             ("REP011", fixture("rep011", "core", "bad_scalar_queries.py"), 5),
-            ("REP012", fixture("rep012", "pkg", "bad_direct_tuning.py"), 5),
+            ("REP012", fixture("rep012", "pkg", "bad_direct_tuning.py"), 4),
         ],
     )
     def test_rule_fires_on_bad_fixture(self, rule, bad, expected_count):
@@ -189,7 +189,7 @@ class TestRuleSemantics:
         src = (
             "def f(tree, node):\n"
             "    tree.min_level += 1\n"
-            "    node.coeffs, node.positions = None, None\n"
+            "    node.coeffs, tree.k = None, 1\n"
         )
         codes = [f.code for f in check_source(src, "pkg/replication/asr.py")]
         assert codes == ["REP012", "REP012", "REP012"]

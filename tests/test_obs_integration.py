@@ -166,10 +166,9 @@ class TestHarnessWarmupExclusion:
         assert "metrics" not in result.meta
 
     def test_source_summary_tree_always_maintained(self):
-        # The paper's central site maintains the SWAT either way; only
-        # range derivation depends on use_summary_ranges.
+        # The paper's central site maintains the SWAT, which feeds the
+        # swat.* metrics; ranges come from the raw window.
         asr = SwatAsr(Topology.single_client(), 8)
-        assert not asr.use_summary_ranges
         asr.on_data(1.0)
         assert asr._summary.time == 1
 

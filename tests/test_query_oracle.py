@@ -90,15 +90,13 @@ def assert_matches_oracle(tree, engine, history, indices):
 @st.composite
 def tree_configs(draw):
     n_levels = draw(st.integers(min_value=2, max_value=7))
-    kind = draw(st.sampled_from(["haar", "db2", "db4", "largest", "certified"]))
+    kind = draw(st.sampled_from(["haar", "db2", "db4", "certified"]))
     kw = {"min_level": draw(st.integers(min_value=0, max_value=min(3, n_levels - 1)))}
     if kind == "certified":
         kw.update(k=1, track_deviation=True)
     else:
         kw["k"] = draw(st.integers(min_value=1, max_value=6))
-        if kind == "largest":
-            kw["selection"] = "largest"
-        elif kind != "haar":
+        if kind != "haar":
             kw["wavelet"] = kind
     kw["use_raw_leaves"] = draw(st.booleans())
     return 2**n_levels, kind, kw
@@ -112,7 +110,7 @@ class TestOracle:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_estimates_match_figure_3b(self, config, schedule, seed):
-        """Cold and warm trees, duplicate indices, every basis/selection,
+        """Cold and warm trees, duplicate indices, every basis,
         reduced trees and raw-leaf serving on or off."""
         window, _, kw = config
         rng = np.random.default_rng(seed)

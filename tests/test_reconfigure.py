@@ -67,9 +67,6 @@ class TestKTruncation:
             tree.reconfigure(k=0)
         with pytest.raises(ValueError):
             tree.reconfigure(min_level=5)
-        largest = Swat(32, k=4, selection="largest")
-        with pytest.raises(ValueError):
-            largest.reconfigure(k=2)
 
 
 # ------------------------------------------------------------------ settling
