@@ -7,6 +7,7 @@ from repro.core.queries import linear_query, point_query
 from repro.network.messages import MessageKind
 from repro.network.topology import Topology
 from repro.replication.divergence import (
+    CONTROL_COST,
     EVENT_WINDOW,
     DivergenceCaching,
     optimal_refresh_width,
@@ -58,6 +59,33 @@ class TestOptimalWidthFormula:
         tols = np.array([2] * 8 + [60] * 2, dtype=np.int64)
         k = optimal_refresh_width(tols, read_rate=2.0, write_rate=0.5, max_range=100)
         assert 0 <= k <= 100
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_cost_formula_with_equal_prices(self, seed):
+        # Section 4.1 prices control and data messages alike (w = 1).
+        assert CONTROL_COST == 1.0
+        rng = np.random.default_rng(seed)
+        m = 20
+        tols = rng.integers(0, m + 1, size=int(rng.integers(1, 12)))
+        read_rate, write_rate = rng.uniform(0.1, 5.0, size=2)
+        per_read = read_rate / tols.size
+
+        def cost(k):
+            if k == 0:
+                return write_rate
+            if k == m:
+                return 2.0 * read_rate
+            r = per_read * np.count_nonzero(tols < k)
+            return r * 2.0 + (m - k) / m * (write_rate + r)
+
+        want = int(np.argmin([cost(k) for k in range(m + 1)]))
+        assert optimal_refresh_width(tols, read_rate, write_rate, m) == want
+
+    def test_control_cost_is_not_an_option(self):
+        with pytest.raises(TypeError):
+            optimal_refresh_width(np.zeros(3, dtype=np.int64), 1.0, 1.0, 10, control_cost=0.5)
+        with pytest.raises(TypeError):
+            DivergenceCaching(Topology.single_client(), N, value_range=VR, control_cost=0.5)
 
     def test_invalid_range_rejected(self):
         with pytest.raises(ValueError):

@@ -45,6 +45,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Swat(16, min_level=-1)
 
+    @pytest.mark.parametrize("selection", ["first", "largest"])
+    def test_coefficient_selection_is_not_an_option(self, selection):
+        # Every node keeps its first k coefficients (Section 2.2).
+        with pytest.raises(TypeError):
+            Swat(16, k=2, selection=selection)
+
     def test_repr(self):
         assert "N=64" in repr(Swat(64))
 
